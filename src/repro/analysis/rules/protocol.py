@@ -53,14 +53,12 @@ _MANIFEST_PRAGMA_RE = re.compile(r"#\s*detlint:\s*slots-manifest\[([A-Za-z0-9_,\
 _CALLBACK_NAME_RE = re.compile(r"^on_\w+$|^\w+_callback$|^\w+_cb$")
 
 #: Modules that must be simulation-pure (PRO104): the macro-op trace tier's
-#: recording/replay, hot-block detection, the multi-core batch stepper, and
-#: the scenario -> system compiler.  Their outputs land in the engine
-#: equality contract (the compiler additionally in the fuzz replay
-#: contract: compiling the same scenario twice must build byte-identical
-#: systems), so any nondeterministic or ambient input here would break
-#: bit-identical replay.
+#: recording/replay, hot-block detection, and the scenario -> system
+#: compiler.  Their outputs land in the engine equality contract (the
+#: compiler additionally in the fuzz replay contract: compiling the same
+#: scenario twice must build byte-identical systems), so any
+#: nondeterministic or ambient input here would break bit-identical replay.
 PURE_MODULES: Tuple[str, ...] = (
-    "repro.cpu.batchstep",
     "repro.cpu.hotness",
     "repro.cpu.macroop",
     "repro.scenario.compile",

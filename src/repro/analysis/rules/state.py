@@ -1,9 +1,9 @@
 """S-rules (STA2xx): state-surface coverage and write ownership.
 
-PR 8's differential fuzzer found the canonical fast-tier bug *dynamically*:
-a mutable ``Core`` field (``ready_heap`` staleness through ``note_skipped``)
-that the batch tier's skip proof did not account for.  These rules move that
-bug class to lint time, using the whole-program state model extracted by
+The differential fuzzer found the canonical fast-tier bug *dynamically*:
+``ready_heap`` staleness through ``note_skipped``, core state the skip
+proof did not account for.  These rules move that bug class to lint time,
+using the whole-program state model extracted by
 :mod:`repro.analysis.statemodel`:
 
 - STA201: every mutable ``Core`` field must be referenced by the macro-op
@@ -11,11 +11,9 @@ bug class to lint time, using the whole-program state model extracted by
   :data:`MACRO_SNAPSHOT_EXEMPT` with the replay invariant that makes it
   safe.  Adding a field to ``Core`` without teaching the sigma snapshot
   becomes a lint failure, not a fuzzer find.
-- STA202: the batch tier's activity surface (``repro.cpu.batchstep`` plus
-  ``Core.next_activity_cycle``/``Core.note_skipped``) must reference every
-  mutable ``Core`` field or exempt it in :data:`BATCH_ACTIVITY_EXEMPT`;
-  additionally every ``BatchScheduler`` lane-mirror slot must be refreshed
-  inside ``lane_snapshot`` or exempted in :data:`LANE_MIRROR_EXEMPT`.
+- STA202: the fast loop's skip proof (``Core.next_activity_cycle`` and
+  ``Core.note_skipped``) must reference every mutable ``Core`` field or
+  exempt it in :data:`FAST_ACTIVITY_EXEMPT`.
 - STA203: dataclasses carrying ``to_json``/``from_json`` codecs (the
   Scenario DSL and FaultPlan) must mention every field name in *both*
   directions — a field added to the dataclass but not the codec would
@@ -37,8 +35,6 @@ let single-file fixtures exercise each rule without shipping a fake engine:
 - ``snapshot-fn[f,g]`` — STA201: these functions are the snapshot surface
   for the file's ``core``-flagged classes.
 - ``activity-fn[f,g]`` — STA202: these functions are the activity surface.
-- ``lane-class[Name refresh=fn]`` — STA202: check ``Name``'s mirror slots
-  against stores in method ``fn``.
 - ``exempt[Class.field] -- reason`` — exempt one field from the coverage
   rules; the reason is mandatory.
 - ``write-grant[Class.field pkg]`` — STA204/205: declare an interception
@@ -64,9 +60,7 @@ from repro.analysis.rules import ModuleSource, ProgramModel, ProgramRule, Rule, 
 from repro.analysis.statemodel import (
     ClassModel,
     StateModel,
-    local_class_fields,
     nonmodel_class_fields,
-    stored_attr_names,
 )
 
 # ---------------------------------------------------------------------------
@@ -151,20 +145,20 @@ MACRO_SNAPSHOT_EXEMPT: Dict[str, str] = {
     ),
 }
 
-#: Shared justification for data-path fields only the lane's own step()
+#: Shared justification for data-path fields only the core's own step()
 #: (or its interrupt-delivery path, which runs inside step()) mutates: a
-#: skipped lane executes nothing, and the skip proof consults only timing
+#: skipped core executes nothing, and the skip proof consults only timing
 #: sources (heaps, timers, stalls), never data-path values.
 _STEP_ONLY_REASON = (
-    "mutated only while the lane itself steps (pipeline/delivery path); a "
-    "skipped lane executes nothing and the horizon proof reads only timing "
+    "mutated only while the core itself steps (pipeline/delivery path); a "
+    "skipped core executes nothing and the horizon proof reads only timing "
     "sources"
 )
 
-#: STA202 — mutable ``Core`` fields the batch-tier activity surface
-#: (batchstep + next_activity_cycle + note_skipped) may ignore.  Complete
-#: audited list, same contract as :data:`MACRO_SNAPSHOT_EXEMPT`.
-BATCH_ACTIVITY_EXEMPT: Dict[str, str] = {
+#: STA202 — mutable ``Core`` fields the fast loop's skip proof
+#: (next_activity_cycle + note_skipped) may ignore.  Complete audited list,
+#: same contract as :data:`MACRO_SNAPSHOT_EXEMPT`.
+FAST_ACTIVITY_EXEMPT: Dict[str, str] = {
     "arch_regs": _STEP_ONLY_REASON,
     "reg_producer": _STEP_ONLY_REASON,
     "iq_count": _STEP_ONLY_REASON,
@@ -179,36 +173,25 @@ BATCH_ACTIVITY_EXEMPT: Dict[str, str] = {
     "last_program_commit_cycle": _STEP_ONLY_REASON,
     "_notif_pir": (
         "written during interrupt recognition, which only happens on a "
-        "stepped cycle; a pending notification already forces the lane out "
-        "of the batched fast path via _divergent"
+        "stepped cycle; the pending notification it records is already "
+        "visible to next_activity_cycle through the APIC's pending set"
     ),
     "_idle_anchor": _NA_CACHE_REASON,
     "_na_backoff": _NA_CACHE_REASON,
     "_na_streak": _NA_CACHE_REASON,
     "_next_activity": _NA_CACHE_REASON,
+    "halted": (
+        "terminal: set once while the core steps and never cleared; the run "
+        "loop tests it before consulting any horizon, so a halted core is "
+        "neither stepped nor skipped"
+    ),
+    "_macro": (
+        _CONFIG_TIME_REASON + " (installed per run() before the first cycle; "
+        "the run loop hands scanning/arming cores to on_boundary before it "
+        "steps them, never to the skip proof)"
+    ),
     "invariant_probe": _CONFIG_TIME_REASON + " (declared fault-hook grant)",
     "uitt": _CONFIG_TIME_REASON + " (connect_uipi / kernel UITT registration)",
-}
-
-#: STA202 — ``BatchScheduler`` slots that are not per-lane mirror caches
-#: refreshed by ``lane_snapshot``.  Everything else in the class is a
-#: SoA mirror of Core state and must be written there.
-LANE_MIRROR_EXEMPT: Dict[str, str] = {
-    "system": "configuration handle, fixed in __init__",
-    "cores": "configuration handle, fixed in __init__",
-    "n": "configuration constant, fixed in __init__",
-    "idle_min": "configuration constant, fixed in __init__",
-    "na": (
-        "authoritative per-lane horizon, maintained incrementally by "
-        "run_batched at every step/skip — the mirror IS the source of truth, "
-        "not a cache to refresh"
-    ),
-    "anchor": (
-        "authoritative per-lane anchor cycle, maintained incrementally by "
-        "run_batched alongside `na`"
-    ),
-    "run_list": "transient scratch rebuilt by run_batched on every pass",
-    "in_run": "transient scratch rebuilt by run_batched on every pass",
 }
 
 # ---------------------------------------------------------------------------
@@ -216,7 +199,6 @@ LANE_MIRROR_EXEMPT: Dict[str, str] = {
 
 _SNAPSHOT_FN_RE = re.compile(r"#\s*detlint:\s*snapshot-fn\[([A-Za-z0-9_,\s]+)\]")
 _ACTIVITY_FN_RE = re.compile(r"#\s*detlint:\s*activity-fn\[([A-Za-z0-9_,\s]+)\]")
-_LANE_CLASS_RE = re.compile(r"#\s*detlint:\s*lane-class\[(\w+)\s+refresh=(\w+)\]")
 _EXEMPT_RE = re.compile(r"#\s*detlint:\s*exempt\[(\w+)\.(\w+)\]\s*--\s*(\S.*)")
 _GRANT_RE = re.compile(r"#\s*detlint:\s*write-grant\[(\w+)\.(\w+)\s+([\w.]+)\]")
 _JSON_CODEC_RE = re.compile(r"#\s*detlint:\s*json-codec\b")
@@ -272,13 +254,6 @@ def _functions_named(tree: ast.AST, names: Set[str]) -> List[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in names
     ]
-
-
-def _class_def(tree: ast.AST, name: str) -> Optional[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
 
 
 def _in_pkg(module: str, prefix: str) -> bool:
@@ -416,23 +391,20 @@ class MacroSnapshotCoverageRule(_CoverageRule):
 
 
 @register
-class BatchActivityCoverageRule(_CoverageRule):
-    """STA202 — the batch tier's skip proof must know every mutable Core
-    field, and every lane-mirror slot must be refreshed."""
+class FastActivityCoverageRule(_CoverageRule):
+    """STA202 — the fast loop's skip proof must know every mutable Core
+    field."""
 
     rule_id = "STA202"
     description = (
-        "mutable core-state field invisible to the batch-tier activity "
-        "surface, or a lane-mirror slot that lane_snapshot never refreshes"
+        "mutable core-state field invisible to the fast loop's skip proof "
+        "(next_activity_cycle / note_skipped)"
     )
     hint = (
-        "reference the field from the activity surface (batchstep, "
-        "next_activity_cycle, note_skipped), refresh the mirror in "
-        "lane_snapshot, or exempt it with the invariant that keeps the "
-        "skip proof sound"
+        "reference the field from next_activity_cycle or note_skipped, or "
+        "exempt it with the invariant that keeps the skip proof sound"
     )
 
-    _READER_MODULE = "repro.cpu.batchstep"
     _ACTIVITY_FNS = {"next_activity_cycle", "note_skipped"}
 
     def check_program(self, program: ProgramModel) -> Iterator[Finding]:
@@ -442,90 +414,29 @@ class BatchActivityCoverageRule(_CoverageRule):
             if source is None:
                 continue
             if cls.module == "repro.cpu.core":
-                reader = program.by_module.get(self._READER_MODULE)
-                if reader is None:
-                    continue
-                readers = _attr_mentions(reader.tree)
-                for fn in _functions_named(source.tree, self._ACTIVITY_FNS):
-                    readers |= _attr_mentions(fn)
-                exempt = dict(BATCH_ACTIVITY_EXEMPT)
-                anchor = reader
+                fn_names = self._ACTIVITY_FNS
+                exempt = dict(FAST_ACTIVITY_EXEMPT)
             else:
                 fn_names = set(_fn_list(_ACTIVITY_FN_RE, source.text))
                 if not fn_names:
                     continue
-                readers = set()
-                for fn in _functions_named(source.tree, fn_names):
-                    readers |= _attr_mentions(fn)
                 exempt = {
                     field: reason
                     for (name, field), reason in _pragma_exemptions(source.text).items()
                     if name == cls.name
                 }
-                anchor = source
+            readers: Set[str] = set()
+            for fn in _functions_named(source.tree, fn_names):
+                readers |= _attr_mentions(fn)
             yield from self._audit(
                 program,
                 cls,
-                anchor,
+                source,
                 readers,
                 exempt,
-                surface=f"the batch activity surface of {anchor.module}",
-                manifest="BATCH_ACTIVITY_EXEMPT",
+                surface=f"the skip proof of {source.module}",
+                manifest="FAST_ACTIVITY_EXEMPT",
             )
-        yield from self._check_lane_mirrors(program)
-
-    def _lane_targets(
-        self, program: ProgramModel
-    ) -> Iterator[Tuple[ModuleSource, str, str, Dict[str, str]]]:
-        real = program.by_module.get(self._READER_MODULE)
-        if real is not None:
-            yield real, "BatchScheduler", "lane_snapshot", dict(LANE_MIRROR_EXEMPT)
-        for source in program.sources:
-            for match in _LANE_CLASS_RE.finditer(source.text):
-                exempt = {
-                    field: reason
-                    for (name, field), reason in _pragma_exemptions(source.text).items()
-                    if name == match.group(1)
-                }
-                yield source, match.group(1), match.group(2), exempt
-
-    def _check_lane_mirrors(self, program: ProgramModel) -> Iterator[Finding]:
-        for source, cls_name, refresh, exempt in self._lane_targets(program):
-            cls = _class_def(source.tree, cls_name)
-            if cls is None:
-                continue
-            slots = local_class_fields(cls)
-            refresh_fn = next(
-                iter(_functions_named(cls, {refresh})), None
-            )
-            if refresh_fn is None:
-                yield self.program_finding(
-                    source,
-                    cls,
-                    f"lane class {cls_name} has no `{refresh}` refresh method",
-                )
-                continue
-            stored = stored_attr_names(refresh_fn)
-            field_names = set(slots)
-            for slot in sorted(slots):
-                if slot in stored:
-                    continue
-                if slot in exempt and exempt[slot]:
-                    continue
-                yield self.program_finding(
-                    source,
-                    refresh_fn,
-                    f"lane-mirror slot `{slot}` of {cls_name} is never "
-                    f"refreshed in {refresh}() and carries no exemption",
-                )
-            for name in sorted(exempt):
-                if name not in field_names:
-                    yield self.program_finding(
-                        source,
-                        cls,
-                        f"stale exemption: `{name}` is not a slot of {cls_name}",
-                        hint="delete the entry from LANE_MIRROR_EXEMPT",
-                    )
 
 
 # ---------------------------------------------------------------------------

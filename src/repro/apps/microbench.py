@@ -338,7 +338,7 @@ def make_pointer_chase(
     dependence chain — no overlap between hops — so a larger ``unroll``
     amortizes the loop-control bookkeeping over more full-latency memory
     stalls: the loop body goes almost entirely quiescent, the shape the
-    cycle-skipping and batch-stepper engines are benchmarked against.
+    cycle-skipping engine is benchmarked against.
     """
     if num_nodes < 2:
         raise ConfigError("pointer chase needs at least 2 nodes")

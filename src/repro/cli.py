@@ -888,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz",
         help="constrained-random differential fuzzing across engine legs "
-        "(naive vs fast vs fast+macro vs fast+batch) with shrinking and a "
+        "(naive vs fast vs fast+macro) with shrinking and a "
         "crash corpus",
     )
     fuzz.add_argument(

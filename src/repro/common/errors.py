@@ -20,7 +20,7 @@ class InvariantViolation(SimulationError):
     failure observed once can be reproduced byte-identically:
     ``FaultPlan.loads(exc.plan_dump)`` rebuilds the exact schedule.
     ``engine_flags`` records the engine tiers active when the violation
-    fired (``REPRO_FAST``/``REPRO_MACRO``/``REPRO_BATCH``/``REPRO_JOBS``) —
+    fired (``REPRO_FAST``/``REPRO_MACRO``/``REPRO_JOBS``) —
     a dumped repro must re-run under the same tiers that produced it.
     """
 

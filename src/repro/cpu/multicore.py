@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.common.counters import (
     GLOBAL_COUNTERS,
-    batch_engine_enabled,
     fast_engine_enabled,
     macro_engine_enabled,
 )
 from repro.common.errors import ConfigError, SimulationError
-from repro.cpu import batchstep
 from repro.cpu.config import SystemConfig
 from repro.cpu.core import FAR_FUTURE, NA_BACKOFF_CAP, Core
 from repro.cpu.macroop import MacroController
@@ -61,7 +59,7 @@ class MultiCoreSystem:
         self.cycle = 0
         self.shared = SharedMemory()
         self.trace = TraceRecorder(enabled=trace, max_events=trace_max_events)
-        self._timeline: List[Tuple[int, int, Callable[[], None], Optional[int]]] = []
+        self._timeline: List[Tuple[int, int, Callable[[], None]]] = []
         self._timeline_seq = itertools.count()
         self._alloc_ptr = KERNEL_STRUCTS_BASE
 
@@ -87,28 +85,14 @@ class MultiCoreSystem:
     # Timeline (APIC bus and device events)
     # ------------------------------------------------------------------
 
-    def schedule(
-        self,
-        delay: int,
-        callback: Callable[[], None],
-        core_hint: Optional[int] = None,
-    ) -> None:
-        """Schedule ``callback`` on the inter-core timeline.
-
-        ``core_hint`` names the only core whose state the callback can
-        affect (IPIs and device interrupts touch just the destination
-        APIC); the batch stepper uses it for targeted invalidation.  Leave
-        it ``None`` — the conservative default, every idle core woken —
-        for any callback that may touch arbitrary state (scheduled
-        faults, tests poking cores directly).
-        """
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` on the inter-core timeline."""
         if delay != delay:  # NaN compares unequal to itself
             raise SimulationError("cannot schedule with a NaN delay")
         if delay < 0:
             raise SimulationError("cannot schedule into the past")
         heapq.heappush(
-            self._timeline,
-            (self.cycle + delay, next(self._timeline_seq), callback, core_hint),
+            self._timeline, (self.cycle + delay, next(self._timeline_seq), callback)
         )
 
     def _send_ipi(self, dest_apic_id: int, vector: int) -> None:
@@ -126,7 +110,7 @@ class MultiCoreSystem:
                 self.cycle, wire_latency, "ipi.wire", f"apic{dest_apic_id}",
                 _obs.CAT_IRQ, vector=vector,
             )
-        self.schedule(wire_latency, deliver, core_hint=dest_apic_id)
+        self.schedule(wire_latency, deliver)
 
     def raise_device_interrupt(self, core_id: int, vector: int, delay: int = 0) -> None:
         """A device raises ``vector`` at ``core_id`` after ``delay`` cycles."""
@@ -136,7 +120,7 @@ class MultiCoreSystem:
             apic.accept(vector, self.cycle, kind=InterruptKind.DEVICE)
             self.trace.record(self.cycle, "device_intr", core=core_id, vector=vector)
 
-        self.schedule(delay, deliver, core_hint=core_id)
+        self.schedule(delay, deliver)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -205,27 +189,6 @@ class MultiCoreSystem:
                         core._macro = MacroController(core, cores, timeline_head)
                 else:
                     core._macro = None
-            use_batch = len(cores) > 1 and batch_engine_enabled()
-            if use_batch and not batchstep.available():
-                GLOBAL_COUNTERS.batch_scalar_fallbacks += 1
-                use_batch = False
-            if use_batch:
-                # Multi-core runs go through the SoA batch stepper
-                # (``REPRO_BATCH``): idle cores live in numpy lanes and only
-                # the active run list is visited per cycle.  Single-core
-                # runs keep the scalar loop below — there is no idle group
-                # to vectorize and the loop is already tight.
-                stepped = batchstep.run_batched(self, end, watch, macro_on)
-                g = GLOBAL_COUNTERS
-                g.cycles_stepped += stepped
-                g.cycles_skipped += (
-                    sum(core.engine_cycles_skipped for core in cores) - skipped0
-                )
-                g.uop_cache_hits += sum(core.uop_cache.hits for core in cores) - hits0
-                g.uop_cache_misses += (
-                    sum(core.uop_cache.misses for core in cores) - misses0
-                )
-                return self.cycle - start
             cycle = start
             jump = 0
             if watch is None or not all(core.halted for core in watch):

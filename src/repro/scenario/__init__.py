@@ -14,7 +14,7 @@ On top of the DSL sit:
 - :func:`~repro.scenario.fuzz.run_scenario` /
   :func:`~repro.scenario.fuzz.fuzz` — the differential fuzz driver that
   runs each scenario under the engine matrix (naive vs ``REPRO_FAST`` vs
-  ``+MACRO`` vs ``+BATCH``) with the :class:`InvariantChecker` armed;
+  ``+MACRO``) with the :class:`InvariantChecker` armed;
 - :func:`~repro.scenario.shrink.shrink` — a greedy minimizer that shrinks
   a failing scenario while preserving its failure fingerprint;
 - :mod:`~repro.scenario.corpus` — the ``.repro-fuzz/`` crash-corpus layout

@@ -40,11 +40,11 @@ STRATEGY_NAMES: Tuple[str, ...] = ("flush", "drain", "tracked")
 
 #: Core roles.  ``workload`` runs a microbenchmark with a registered
 #: handler; ``uipi_sender`` is a dedicated rdtsc-spin timer core (§2);
-#: ``idle`` halts immediately (populates batch-stepper idle lanes).
+#: ``idle`` halts immediately (exercises the fast loop's halted-core path).
 CORE_ROLES: Tuple[str, ...] = ("workload", "uipi_sender", "idle")
 
 #: The engine-flag matrix legs (see :data:`repro.scenario.fuzz.ENGINE_LEGS`).
-ENGINE_LEG_NAMES: Tuple[str, ...] = ("naive", "fast", "fast+macro", "fast+batch")
+ENGINE_LEG_NAMES: Tuple[str, ...] = ("naive", "fast", "fast+macro")
 
 #: Workload kinds and their knob schema: name -> (min, max, power_of_two).
 #: Ranges are deliberately small — fuzz scenarios must stay cheap enough

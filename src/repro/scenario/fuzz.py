@@ -1,7 +1,7 @@
 """The differential fuzz driver: engine matrix x oracles x fingerprints.
 
-Each scenario runs once per engine leg (naive, ``REPRO_FAST``, FAST+MACRO,
-FAST+BATCH) with the :class:`InvariantChecker` armed.  Four oracles turn a
+Each scenario runs once per engine leg (naive, ``REPRO_FAST``, FAST+MACRO)
+with the :class:`InvariantChecker` armed.  Four oracles turn a
 run into a finding:
 
 ``invariant``
@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.common.counters import ENV_BATCH, ENV_FAST, ENV_MACRO
+from repro.common.counters import ENV_FAST, ENV_MACRO
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker
@@ -47,10 +47,9 @@ from repro.scenario.generate import ScenarioGenerator
 
 #: Leg name -> the engine environment that leg runs under.
 ENGINE_LEGS: Dict[str, Dict[str, str]] = {
-    "naive": {ENV_FAST: "0", ENV_MACRO: "0", ENV_BATCH: "0"},
-    "fast": {ENV_FAST: "1", ENV_MACRO: "0", ENV_BATCH: "0"},
-    "fast+macro": {ENV_FAST: "1", ENV_MACRO: "1", ENV_BATCH: "0"},
-    "fast+batch": {ENV_FAST: "1", ENV_MACRO: "0", ENV_BATCH: "1"},
+    "naive": {ENV_FAST: "0", ENV_MACRO: "0"},
+    "fast": {ENV_FAST: "1", ENV_MACRO: "0"},
+    "fast+macro": {ENV_FAST: "1", ENV_MACRO: "1"},
 }
 
 #: Test-only oracle hook: name a leg to perturb its view by one cycle.

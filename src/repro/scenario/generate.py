@@ -10,7 +10,7 @@ the *only* RNG construction allowed here is the derived-seed one below.
 
 The generation ranges are deliberately tighter than the DSL's validation
 ranges: the DSL bounds what a scenario may *be*, the budget bounds what the
-fuzzer will *draw*, because every scenario runs under up to four engine
+fuzzer will *draw*, because every scenario runs under up to three engine
 legs including the ~26k-cycles/second naive stepper.  A drawn scenario
 targets a few thousand simulated cycles so a 200-seed fuzz run finishes in
 minutes, not hours.

@@ -1,9 +1,7 @@
-"""STA202 fixture: the PR-8 ``note_skipped`` regression shape — deferred
-work parked in a field the skip proof never consults — plus a lane-mirror
-slot the refresh method skips."""
+"""STA202 fixture: the ``note_skipped`` regression shape — deferred work
+parked in a field the skip proof never consults."""
 # detlint: state-class[LoopCore owner=engine.cpu core]
 # detlint: activity-fn[next_activity_cycle,note_skipped]
-# detlint: lane-class[LaneSched refresh=lane_snapshot]
 
 
 class LoopCore:
@@ -27,17 +25,3 @@ class LoopCore:
             return self.ready_heap[0]
         return self.cycle + 1
 
-
-class LaneSched:
-    __slots__ = ("cores", "fetch_pc", "rob_occ")
-
-    def __init__(self, cores):
-        self.cores = list(cores)
-        self.fetch_pc = [0] * len(self.cores)
-        self.rob_occ = [0] * len(self.cores)
-
-    def lane_snapshot(self):
-        for i, core in enumerate(self.cores):
-            self.fetch_pc[i] = core.fetch_pc
-        # rob_occ is a mirror too, but this refresh forgets it: stale lane.
-        return {"fetch_pc": self.fetch_pc, "rob_occ": self.rob_occ}

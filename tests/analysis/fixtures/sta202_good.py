@@ -1,9 +1,7 @@
-"""STA202 clean twin: deferred work lives in the audited heap, every lane
-mirror is refreshed, and config handles carry stated exemptions."""
+"""STA202 clean twin: deferred work is folded into the audited heap, so
+the skip proof sees it."""
 # detlint: state-class[LoopCore owner=engine.cpu core]
 # detlint: activity-fn[next_activity_cycle,note_skipped]
-# detlint: lane-class[LaneSched refresh=lane_snapshot]
-# detlint: exempt[LaneSched.cores] -- configuration handle, fixed in __init__
 
 
 class LoopCore:
@@ -31,17 +29,3 @@ class LoopCore:
             return self.ready_heap[0]
         return self.cycle + 1
 
-
-class LaneSched:
-    __slots__ = ("cores", "fetch_pc", "rob_occ")
-
-    def __init__(self, cores):
-        self.cores = list(cores)
-        self.fetch_pc = [0] * len(self.cores)
-        self.rob_occ = [0] * len(self.cores)
-
-    def lane_snapshot(self):
-        for i, core in enumerate(self.cores):
-            self.fetch_pc[i] = core.fetch_pc
-            self.rob_occ[i] = len(core.ready_heap)
-        return {"fetch_pc": self.fetch_pc, "rob_occ": self.rob_occ}

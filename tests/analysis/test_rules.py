@@ -8,6 +8,7 @@ not just the rule visitors in isolation.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -120,27 +121,6 @@ def test_pro104_flags_clock_env_global_and_mutable_reads():
     # ALL_CAPS constants and local shadows stay clean (see the good twin).
 
 
-def test_batchstep_shaped_fixture_flags_slots_and_purity():
-    """The batch-stepper contract, end to end: a SoA lane scheduler must be
-    slotted (PRO103) and its module simulation-pure (PRO104)."""
-    report = scan("batchstep_bad.py")
-    findings = report.new_findings
-    assert any(
-        f.rule_id == "PRO103" and "LaneScheduler" in f.message for f in findings
-    )
-    pro104 = [f.message for f in findings if f.rule_id == "PRO104"]
-    assert any("imports wall-clock/entropy source time" in m for m in pro104)
-    assert any("os.environ" in m for m in pro104)
-    assert any("_lane_cache" in m for m in pro104)
-
-
-def test_batchstep_shaped_fixture_clean_twin_passes():
-    report = scan("batchstep_good.py")
-    assert not any(
-        f.rule_id in ("PRO103", "PRO104") for f in report.new_findings
-    )
-
-
 def test_pro104_only_applies_to_pure_modules():
     # No pragma, not in PURE_MODULES: the same sins go unflagged by PRO104.
     report = scan("pro102_bad.py")
@@ -250,12 +230,27 @@ def test_sta202_catches_note_skipped_regression_shape():
     assert not any("ready_heap" in m for m in messages)
 
 
-def test_sta202_catches_stale_lane_mirror():
-    report = scan("sta202_bad.py")
+def test_sta202_fires_on_new_core_field_in_real_tree(tmp_path):
+    """Mutation check on a copy of the real tree: a new mutable ``Core``
+    field that neither ``next_activity_cycle`` nor ``note_skipped`` reads
+    must fail STA202, so the rule never silently checks nothing."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    root = tmp_path / "src" / "repro"
+    shutil.copytree(src, root, ignore=shutil.ignore_patterns("__pycache__"))
+    core = root / "cpu" / "core.py"
+    text = core.read_text()
+    assert text.count("    __slots__ = (\n") == 1
+    assert text.count("    def note_skipped(") == 1
+    text = text.replace("    __slots__ = (\n", '    __slots__ = (\n        "spill_mask",\n')
+    text = text.replace(
+        "    def note_skipped(",
+        "    def _spill(self) -> None:\n        self.spill_mask = 1\n\n    def note_skipped(",
+    )
+    core.write_text(text)
+    report = run_rules([root])
     messages = [f.message for f in report.new_findings if f.rule_id == "STA202"]
-    assert any("rob_occ" in m and "lane_snapshot" in m for m in messages)
-    # fetch_pc is refreshed through a subscript store — must stay clean.
-    assert not any("fetch_pc" in m for m in messages)
+    assert len(messages) == 1
+    assert "spill_mask" in messages[0] and "Core" in messages[0]
 
 
 def test_sta203_names_the_dropped_field_per_direction():

@@ -118,7 +118,7 @@ def test_slots_manifest_is_derived_from_state_classes():
 def test_slots_manifest_pins_hot_path_modules():
     manifest = derive_slots_manifest()
     assert "Core" in manifest["repro.cpu.core"]
-    assert "BatchScheduler" in manifest["repro.cpu.batchstep"]
+    assert "MacroController" in manifest["repro.cpu.macroop"]
     # Every hot-path spec lands in the manifest, and nothing else does.
     hot = {(s.module, s.name) for s in STATE_CLASSES if s.hot_path}
     listed = {(m, n) for m, names in manifest.items() for n in names}

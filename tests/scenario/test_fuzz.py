@@ -1,10 +1,11 @@
 """Differential fuzz driver: oracles, fingerprints, env hygiene."""
 
+import json
 import os
 
 import pytest
 
-from repro.common.counters import ENV_BATCH, ENV_FAST, ENV_MACRO
+from repro.common.counters import ENV_FAST, ENV_MACRO
 from repro.common.errors import ConfigError
 from repro.scenario.dsl import (
     ENGINE_LEG_NAMES,
@@ -73,7 +74,7 @@ class TestEngineEnv:
         assert tuple(ENGINE_LEGS) == ENGINE_LEG_NAMES
         assert ENGINE_LEGS["naive"][ENV_FAST] == "0"
         assert ENGINE_LEGS["fast+macro"][ENV_MACRO] == "1"
-        assert ENGINE_LEGS["fast+batch"][ENV_BATCH] == "1"
+        assert ENGINE_LEGS["fast+macro"][ENV_FAST] == "1"
 
     def test_env_restored_after_leg(self, monkeypatch):
         monkeypatch.setenv(ENV_FAST, "1")
@@ -85,11 +86,11 @@ class TestEngineEnv:
         assert ENV_MACRO not in os.environ
 
     def test_env_restored_on_exception(self, monkeypatch):
-        monkeypatch.setenv(ENV_BATCH, "1")
+        monkeypatch.setenv(ENV_MACRO, "1")
         with pytest.raises(RuntimeError):
             with _engine_env("naive"):
                 raise RuntimeError("boom")
-        assert os.environ[ENV_BATCH] == "1"
+        assert os.environ[ENV_MACRO] == "1"
 
 
 class TestRunOne:
@@ -120,15 +121,15 @@ class TestRunOne:
         assert sorted(f.leg for f in findings) == sorted(s.engines)
 
     def test_divergence_hook_fires_on_named_leg(self, monkeypatch):
-        monkeypatch.setenv(ENV_TEST_DIVERGENCE, "fast+batch")
+        monkeypatch.setenv(ENV_TEST_DIVERGENCE, "fast+macro")
         findings = run_one(tiny_scenario())
         assert len(findings) == 1
         finding = findings[0]
         assert finding.kind == "divergence"
-        assert finding.leg == "fast+batch"
+        assert finding.leg == "fast+macro"
         assert "cycles" in finding.detail
         assert finding.fingerprint == fingerprint(
-            "divergence", "fast+batch", finding.detail
+            "divergence", "fast+macro", finding.detail
         )
 
     def test_finding_to_json_is_replayable(self, monkeypatch):
@@ -138,6 +139,28 @@ class TestRunOne:
         assert obj["engine_env"] == ENGINE_LEGS["fast"]
         assert Scenario.from_json(obj["scenario"]) == finding.scenario
         assert obj["scenario_id"] == finding.scenario.scenario_id()
+
+    def test_artifact_naming_a_removed_leg_is_rejected(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A corpus artifact written when the numpy batch leg still existed
+        no longer parses: the DSL rejects the unknown leg with a ConfigError
+        and ``repro fuzz repro`` exits 2 instead of crashing."""
+        from repro.cli import main
+        from repro.scenario.corpus import CrashCorpus
+
+        removed_leg = "+".join(("fast", "batch"))
+        monkeypatch.setenv(ENV_TEST_DIVERGENCE, "fast")
+        (finding,) = run_one(tiny_scenario())
+        path = CrashCorpus(tmp_path).save(finding)
+        obj = json.loads(path.read_text())
+        obj["leg"] = removed_leg
+        obj["scenario"]["engines"].append(removed_leg)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError, match="unknown engine legs"):
+            Scenario.from_json(obj["scenario"])
+        assert main(["fuzz", "repro", str(path)]) == 2
+        assert "unknown engine legs" in capsys.readouterr().err
         assert finding.kind in FINDING_KINDS
 
 

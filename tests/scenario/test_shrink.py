@@ -48,7 +48,7 @@ def roomy_scenario():
 
 @pytest.fixture
 def hooked_finding(monkeypatch):
-    monkeypatch.setenv(ENV_TEST_DIVERGENCE, "fast+batch")
+    monkeypatch.setenv(ENV_TEST_DIVERGENCE, "fast+macro")
     findings = run_one(roomy_scenario())
     assert findings, "the test hook must produce a finding"
     return findings[0]

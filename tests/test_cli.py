@@ -208,7 +208,7 @@ class TestFuzz:
     def test_findings_exit_one_and_land_in_corpus(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv(self.HOOK, "fast+batch")
+        monkeypatch.setenv(self.HOOK, "fast+macro")
         corpus = tmp_path / "corpus"
         rc = main(
             [
@@ -222,14 +222,14 @@ class TestFuzz:
         )
         assert rc == 1
         out = capsys.readouterr().out
-        assert "divergence on fast+batch" in out
+        assert "divergence on fast+macro" in out
         artifacts = list(corpus.glob("*.json"))
         assert len(artifacts) == 1
 
     def test_rerun_dedups_against_existing_corpus(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv(self.HOOK, "fast+batch")
+        monkeypatch.setenv(self.HOOK, "fast+macro")
         corpus = tmp_path / "corpus"
         args = ["fuzz", "--seeds", "1", "--corpus-dir", str(corpus), "--no-shrink"]
         assert main(args) == 1
@@ -273,7 +273,7 @@ class TestFuzz:
     ):
         # 1. Seeded bug hook on: the fuzzer catches the divergence and
         #    shrinks it to a strictly smaller scenario.
-        monkeypatch.setenv(self.HOOK, "fast+batch")
+        monkeypatch.setenv(self.HOOK, "fast+macro")
         corpus = tmp_path / "corpus"
         assert (
             main(["fuzz", "--seeds", "1", "--corpus-dir", str(corpus)]) == 1
