@@ -20,8 +20,8 @@ Mechanism differences (§6.1, Figure 6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import RngStreams
@@ -60,7 +60,8 @@ class WorkerCore:
     core or KB timer fires every quantum no matter what is running), so the
     receiver cost is charged at every tick — this is exactly the Figure 4
     overhead (645 cycles/5 us for UIPI vs. 105 for xUI) showing up as lost
-    worker capacity in Figure 7.
+    worker capacity in Figure 7.  The runtime's quantum clock delivers the
+    ticks (see :class:`AspenRuntime`).
     """
 
     def __init__(
@@ -79,20 +80,9 @@ class WorkerCore:
         self.idle_since: Optional[float] = 0.0
         self.idle_cycles = 0.0
         self.preemption_events = 0
-        self.ticks = 0
-        self._tick_event: Optional[Event] = None
-        self._stopped = False
-        if runtime.config.quantum is not None:
-            self._tick_event = runtime.sim.schedule(
-                runtime.config.quantum, self._tick, name=f"tick:w{core_id}"
-            )
-
-    def stop_ticks(self) -> None:
-        """Stop the periodic preemption tick (ends the simulation cleanly)."""
-        self._stopped = True
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
+        config = runtime.config
+        # With one worker there is never a victim to steal from.
+        self._can_steal = config.work_stealing and config.num_workers > 1
 
     # ------------------------------------------------------------------
 
@@ -105,7 +95,7 @@ class WorkerCore:
         """Pick the next thread (local queue, then stealing) and run it."""
         self._resume_pending = False
         thread = self.queue.pop()
-        if thread is None and self.runtime.config.work_stealing:
+        if thread is None and self._can_steal:
             thread = self.runtime.steal_for(self)
         if thread is None:
             if self.idle_since is None:
@@ -139,16 +129,21 @@ class WorkerCore:
         self.runtime.completed.append(thread)
         self._dispatch()
 
+    def _idle(self) -> bool:
+        """Nothing running, resuming or queued: a tick only pays its cost."""
+        return self.current is None and not self._resume_pending and not self.queue
+
+    def _charge_idle_ticks(self, count: int) -> None:
+        """Account ``count`` ticks the quantum clock skipped while idle."""
+        self.preemption_events += count
+        self.account.charge_repeated(
+            "preempt_notify", self.runtime.preemption_overhead, count
+        )
+
     def _tick(self) -> None:
         """The periodic preemption notification (timer core / KB timer)."""
-        if self._stopped:
-            return
         sim = self.runtime.sim
-        self.ticks += 1
-        self._tick_event = sim.schedule(
-            self.runtime.config.quantum, self._tick, name=f"tick:w{self.core_id}"
-        )
-        overhead = self.runtime.preemption_overhead()
+        overhead = self.runtime.preemption_overhead
         self.preemption_events += 1
         self.account.charge("preempt_notify", overhead)
         thread = self.current
@@ -188,7 +183,17 @@ class WorkerCore:
 
 
 class AspenRuntime:
-    """The runtime: workers, work stealing, and the preemption time source."""
+    """The runtime: workers, work stealing, and the preemption time source.
+
+    One ``quantum`` event per runtime drives preemption: at each boundary it
+    ticks the workers in ``core_id`` order, then charges the timer core.
+    Inside a bounded :meth:`Simulator.run` it coalesces idle stretches: at a
+    boundary where every worker is idle with an empty queue, the boundaries
+    before the next pending event are pure accounting, so the clock jumps to
+    the first boundary at or after that event (never past the run's
+    :attr:`~repro.sim.simulator.Simulator.horizon`) and charges the skipped
+    ticks when it lands.
+    """
 
     def __init__(
         self,
@@ -201,23 +206,34 @@ class AspenRuntime:
         self.config = config
         self.costs = costs or CostModel.paper_defaults()
         self.rng = rng or RngStreams(seed=0)
+        mechanism = config.mechanism
+        #: Receiver-side cost of one preemption notification.
+        self.preemption_overhead = (
+            0.0 if mechanism is None else self.costs.preemption_cost(mechanism)
+        )
         self.workers: List[WorkerCore] = [
             WorkerCore(self, core_id) for core_id in range(config.num_workers)
         ]
         self.completed: List[UThread] = []
         self._spawn_rr = 0
-        self._stopped = False
-        self._timer_core_event = None
         #: Dedicated timer-core accounting (UIPI-style mechanisms only).
         self.timer_core: Optional[CycleAccount] = None
-        if (
-            config.quantum is not None
-            and config.mechanism is not None
-            and config.mechanism.needs_timer_core
-        ):
+        self._senduipi_cycles = 0.0
+        self._spin_cycles = 0.0
+        self._clock: Optional[Event] = None
+        #: Idle boundaries the pending clock event jumped over.
+        self._skipped = 0
+        if config.quantum is None:
+            return
+        if mechanism.needs_timer_core:
             self.timer_core = CycleAccount(name="timer_core")
             self._check_timer_capacity()
-            self._start_timer_core()
+            # The rdtsc-spin core burns the whole quantum, spending senduipi
+            # cycles per worker.
+            per_worker = self.costs.senduipi + self.costs.timer_core_loop_overhead
+            self._senduipi_cycles = per_worker * len(self.workers)
+            self._spin_cycles = max(0.0, config.quantum - self._senduipi_cycles)
+        self._clock = sim.schedule(config.quantum, self._quantum, name="quantum")
 
     # -- preemption time source ------------------------------------------
 
@@ -230,36 +246,47 @@ class AspenRuntime:
                 f"(requested {self.config.num_workers}); see §6.1"
             )
 
-    def _start_timer_core(self) -> None:
-        """Account the dedicated timer core: it burns the whole core (rdtsc
-        spin) and spends senduipi cycles per worker per quantum."""
-
-        def tick() -> None:
-            if self._stopped:
-                return
-            per_worker = self.costs.senduipi + self.costs.timer_core_loop_overhead
-            send_cycles = per_worker * len(self.workers)
-            self.timer_core.charge("senduipi", send_cycles)
-            self.timer_core.charge("spin", max(0.0, self.config.quantum - send_cycles))
-            self._timer_core_event = self.sim.schedule(self.config.quantum, tick, name="timer_core")
-
-        self._timer_core_event = self.sim.schedule(self.config.quantum, tick, name="timer_core")
+    def _quantum(self) -> None:
+        """One quantum boundary, plus any idle boundaries skipped before it."""
+        sim = self.sim
+        quantum = self.config.quantum
+        timer_core = self.timer_core
+        skipped = self._skipped
+        if skipped:
+            for worker in self.workers:
+                worker._charge_idle_ticks(skipped)
+            if timer_core is not None:
+                timer_core.charge_repeated("senduipi", self._senduipi_cycles, skipped)
+                timer_core.charge_repeated("spin", self._spin_cycles, skipped)
+        # Reschedule before ticking: the clock's sequence number must precede
+        # everything the ticks schedule, so ties resolve as they always have.
+        landing = sim.now + quantum
+        skipped = 0
+        horizon = sim.horizon
+        if (
+            horizon is not None
+            and landing + quantum <= horizon
+            and all(worker._idle() for worker in self.workers)
+        ):
+            # Quiet until the next event: nothing fires before it, so the
+            # boundaries in between only charge costs.
+            target = sim.peek_next_time()
+            while (target is None or landing < target) and landing + quantum <= horizon:
+                landing += quantum
+                skipped += 1
+        self._skipped = skipped
+        self._clock = sim.schedule_at(landing, self._quantum, name="quantum")
+        for worker in self.workers:
+            worker._tick()
+        if timer_core is not None:
+            timer_core.charge("senduipi", self._senduipi_cycles)
+            timer_core.charge("spin", self._spin_cycles)
 
     def stop(self) -> None:
-        """Stop all periodic machinery so an unbounded sim.run() can drain."""
-        self._stopped = True
-        for worker in self.workers:
-            worker.stop_ticks()
-        if self._timer_core_event is not None:
-            self._timer_core_event.cancel()
-            self._timer_core_event = None
-
-    def preemption_overhead(self) -> float:
-        """Receiver-side cost of one preemption notification."""
-        mechanism = self.config.mechanism
-        if mechanism is None:
-            return 0.0
-        return self.costs.preemption_cost(mechanism)
+        """Stop the quantum clock so an unbounded sim.run() can drain."""
+        if self._clock is not None:
+            self._clock.cancel()
+            self._clock = None
 
     # -- spawning / stealing ------------------------------------------------
 

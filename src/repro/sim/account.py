@@ -28,6 +28,22 @@ class CycleAccount:
             raise ConfigError(f"cannot charge negative cycles ({cycles}) to {category!r}")
         self.busy[category] = self.busy.get(category, 0.0) + cycles
 
+    def charge_repeated(self, category: str, cycles: float, times: int) -> None:
+        """``times`` successive :meth:`charge` calls.
+
+        The additions happen one by one, so the float total is exactly what
+        the single charges would give (``times * cycles`` may round
+        differently).
+        """
+        if cycles < 0:
+            raise ConfigError(f"cannot charge negative cycles ({cycles}) to {category!r}")
+        if times <= 0:
+            return
+        total = self.busy.get(category, 0.0)
+        for _ in range(times):
+            total += cycles
+        self.busy[category] = total
+
     def total_busy(self) -> float:
         return sum(self.busy.values())
 

@@ -4,29 +4,30 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, sequence)`` so that two events scheduled for
-    the same instant fire in scheduling order — a property several protocols
-    rely on (e.g. "the UPID write is visible before the IPI arrives").
+    The queue orders events by ``(time, sequence)`` so that two events
+    scheduled for the same instant fire in scheduling order — a property
+    several protocols rely on (e.g. "the UPID write is visible before the
+    IPI arrives").
     """
 
     time: float
     sequence: int
-    callback: Callable[[], Any] = field(compare=False)
-    name: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], Any]
+    name: str = ""
+    cancelled: bool = False
     #: Invoked once when the event transitions to cancelled; the owning
     #: queue uses it to track how much dead weight the heap is carrying.
-    on_cancel: Optional[Callable[[], Any]] = field(default=None, compare=False)
+    on_cancel: Optional[Callable[[], Any]] = None
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
@@ -39,11 +40,13 @@ class Event:
 class EventQueue:
     """A priority queue of :class:`Event` with lazy cancellation.
 
-    Cancelled events stay in the heap until they surface, so cancellation is
-    O(1); ``len()`` counts only live (non-cancelled) events.  When cancelled
-    entries come to dominate (heavy timer re-arming), the queue compacts
-    itself in place — an amortized sweep that keeps pop costs proportional
-    to live events instead of total scheduled events.
+    Heap entries are ``(time, sequence, event)`` tuples, so ``heapq``
+    compares them in C; the unique sequence means the event itself is never
+    compared.  Cancelled events stay in the heap until they surface, so
+    cancellation is O(1); ``len()`` counts only live (non-cancelled) events.
+    When cancelled entries come to dominate (heavy timer re-arming), the
+    queue compacts itself in place — an amortized sweep that keeps pop costs
+    proportional to live events instead of total scheduled events.
     """
 
     #: Compact only past this many dead entries (small heaps never bother).
@@ -54,7 +57,7 @@ class EventQueue:
     def __init__(self) -> None:
         #: The raw heap; the simulator main loop iterates it directly to
         #: avoid the peek/pop double scan on the hot path.
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         #: Dead entries still buried in the heap (approximate upper bound:
         #: direct heap consumers may drop cancelled entries without
@@ -62,12 +65,13 @@ class EventQueue:
         self._cancelled = 0
 
     @property
-    def heap(self) -> list[Event]:
-        """The underlying heap (may contain cancelled events)."""
+    def heap(self) -> list[tuple[float, int, Event]]:
+        """The underlying ``(time, sequence, event)`` heap (may hold
+        cancelled events)."""
         return self._heap
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def __bool__(self) -> bool:
         self._drop_cancelled_head()
@@ -76,14 +80,9 @@ class EventQueue:
     def push(self, time: float, callback: Callable[[], Any], name: str = "") -> Event:
         if time != time:  # NaN check
             raise SimulationError("event time is NaN")
-        event = Event(
-            time=time,
-            sequence=next(self._counter),
-            callback=callback,
-            name=name,
-            on_cancel=self._note_cancelled,
-        )
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, name, False, self._note_cancelled)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def _note_cancelled(self) -> None:
@@ -100,23 +99,23 @@ class EventQueue:
         Rebuilds *in place*: the simulator main loop holds a direct
         reference to the heap list, so the list object must survive.
         """
-        self._heap[:] = [event for event in self._heap if not event.cancelled]
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
         self._drop_cancelled_head()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Event:
         self._drop_cancelled_head()
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
             if self._cancelled > 0:
                 self._cancelled -= 1

@@ -19,25 +19,36 @@ class Simulator:
     runs its callback.  Callbacks may schedule further events (never in the
     past).
 
-    Engine flags: ``REPRO_FAST`` gates this loop's fast-forward batching
-    (below); ``REPRO_MACRO`` — the macro-op loop-replay tier — is a
-    *cycle-tier* optimization living entirely in
-    :class:`repro.cpu.multicore.MultiCoreSystem` /
-    :mod:`repro.cpu.macroop`, and has no effect on the event tier: there
+    No engine flag reaches this loop: ``REPRO_FAST`` and ``REPRO_MACRO``
+    select *cycle-tier* engines in :class:`repro.cpu.multicore.MultiCoreSystem`
+    / :mod:`repro.cpu.macroop`, and have no effect on the event tier: there
     is no per-cycle interpreter here to shortcut.
     """
 
-    __slots__ = ("_now", "_queue", "_running", "events_processed")
+    __slots__ = ("_now", "_queue", "_running", "_horizon", "events_processed")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
         self._running = False
+        self._horizon: Optional[float] = None
         self.events_processed = 0
 
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def horizon(self) -> Optional[float]:
+        """The ``until`` bound of the :meth:`run` in progress, else None.
+
+        Set only while ``run(until=...)`` runs without ``max_events``: every
+        event at or before it is guaranteed to fire in this call, so
+        periodic machinery may batch its quiet periods up to it (see
+        :class:`repro.runtime.aspen.AspenRuntime`).  None under
+        :meth:`step`, ``max_events`` and unbounded runs.
+        """
+        return self._horizon
 
     def schedule_at(self, time: float, callback: Callable[[], Any], name: str = "") -> Event:
         """Schedule ``callback`` at absolute ``time``."""
@@ -88,18 +99,18 @@ class Simulator:
         """
         queue = self._queue
         heap = queue.heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             if queue._cancelled > 0:
                 queue._cancelled -= 1
         if not heap:
             return False
-        event = heapq.heappop(heap)
+        time, _, event = heapq.heappop(heap)
         g = GLOBAL_COUNTERS
-        if event.time > self._now:
+        if time > self._now:
             g.events_fast_forwarded += 1
         g.events_fired += 1
-        self._now = event.time
+        self._now = time
         self.events_processed += 1
         event.callback()
         return True
@@ -120,10 +131,15 @@ class Simulator:
         event's timestamp (counted in ``GLOBAL_COUNTERS`` when it actually
         moves time forward), and a batch of same-timestamp events is drained
         in one inner loop without re-checking the ``until`` bound per event.
+
+        With ``until`` set and no ``max_events``, :attr:`horizon` reads
+        ``until`` for the duration of the call.
         """
         if self._running:
             raise SimulationError("simulator loop is not reentrant")
         self._running = True
+        if max_events is None:
+            self._horizon = until
         fired = 0
         jumps = 0
         queue = self._queue
@@ -135,7 +151,7 @@ class Simulator:
             while True:
                 if max_events is not None and fired >= max_events:
                     break
-                while heap and heap[0].cancelled:
+                while heap and heap[0][2].cancelled:
                     heappop(heap)
                     if queue._cancelled > 0:
                         queue._cancelled -= 1
@@ -143,14 +159,13 @@ class Simulator:
                     if until is not None and until > self._now:
                         self._now = until
                     break
-                event = heap[0]
-                now = event.time
+                now = heap[0][0]
                 if until is not None and now > until:
                     self._now = until
                     break
                 if now > self._now:
                     jumps += 1
-                heappop(heap)
+                event = heappop(heap)[2]
                 self._now = now
                 self.events_processed += 1
                 fired += 1
@@ -160,13 +175,14 @@ class Simulator:
                 # Batch-drain everything scheduled for this same instant
                 # (callbacks may add more; heap order keeps FIFO ties).
                 while heap and (max_events is None or fired < max_events):
-                    event = heap[0]
+                    entry = heap[0]
+                    event = entry[2]
                     if event.cancelled:
                         heappop(heap)
                         if queue._cancelled > 0:
                             queue._cancelled -= 1
                         continue
-                    if event.time != now:
+                    if entry[0] != now:
                         break
                     heappop(heap)
                     self.events_processed += 1
@@ -176,6 +192,7 @@ class Simulator:
                     event.callback()
         finally:
             self._running = False
+            self._horizon = None
             g = GLOBAL_COUNTERS
             g.events_fired += fired
             g.events_fast_forwarded += jumps

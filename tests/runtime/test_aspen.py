@@ -77,11 +77,11 @@ class TestExecution:
         runtime.spawn(UThread(service_cycles=100_000.0))
         sim.run(until=100_000.0)
         worker = runtime.workers[0]
-        expected_ticks = 10
-        assert worker.ticks == pytest.approx(expected_ticks, abs=1)
+        # Boundaries at 10k, 20k, ..., 100k inclusive fire under until=100k.
+        assert worker.preemption_events == 10
         costs = CostModel()
         assert worker.account.busy["preempt_notify"] == pytest.approx(
-            worker.ticks * costs.uipi_receive_flush
+            10 * costs.uipi_receive_flush
         )
 
     def test_xui_overhead_lower_than_uipi(self):
@@ -104,6 +104,123 @@ class TestExecution:
         # stop() ends the periodic machinery; an unbounded run now drains.
         runtime.stop()
         sim.run()
+
+
+def _runtime_state(sim, runtime):
+    return {
+        "now": sim.now,
+        "workers": [
+            (w.preemption_events, dict(w.account.busy), w.idle_cycles, w.idle_since)
+            for w in runtime.workers
+        ],
+        "timer_core": None if runtime.timer_core is None else dict(runtime.timer_core.busy),
+        "threads": [
+            (t.arrival_time, t.start_time, t.completion_time, t.preemptions, t.steals)
+            for t in runtime.completed
+        ],
+    }
+
+
+def _summed(cycles, times):
+    total = 0.0
+    for _ in range(times):
+        total += cycles
+    return total
+
+
+class TestQuantumClock:
+    """One clock per runtime; idle quanta coalesce inside bounded runs."""
+
+    COSTS = CostModel(uipi_receive_flush=645.3, senduipi=383.9, timer_core_loop_overhead=70.3)
+
+    def _runtime(self, workers=3, mechanism=Mechanism.UIPI):
+        sim = Simulator()
+        config = RuntimeConfig(num_workers=workers, quantum=10_000.0, mechanism=mechanism)
+        return sim, AspenRuntime(sim, config, costs=self.COSTS)
+
+    def test_idle_run_charges_every_boundary(self):
+        sim, runtime = self._runtime()
+        sim.run(until=1_234_567.0)
+        boundaries = 123  # floor(1_234_567 / 10_000)
+        for worker in runtime.workers:
+            assert worker.preemption_events == boundaries
+            assert worker.account.busy == {
+                "preempt_notify": _summed(self.COSTS.uipi_receive_flush, boundaries)
+            }
+        send = (self.COSTS.senduipi + self.COSTS.timer_core_loop_overhead) * 3
+        assert runtime.timer_core.busy == {
+            "senduipi": _summed(send, boundaries),
+            "spin": _summed(10_000.0 - send, boundaries),
+        }
+        # The first boundary jumped straight to the last one: two firings.
+        assert sim.events_processed == 2
+        assert sim.pending() == 1
+
+    def test_spawn_between_bounded_runs_matches_prescheduled_arrival(self):
+        arrival = 1_234_567.0
+
+        def spawn(sim, runtime):
+            runtime.spawn(UThread(service_cycles=55_555.0, arrival_time=sim.now))
+
+        sim_a, runtime_a = self._runtime(workers=2)
+        sim_a.run(until=arrival)
+        spawn(sim_a, runtime_a)
+        sim_a.run(until=3_000_000.0)
+
+        sim_b, runtime_b = self._runtime(workers=2)
+        sim_b.schedule_at(arrival, lambda: spawn(sim_b, runtime_b))
+        sim_b.run(until=3_000_000.0)
+
+        assert len(runtime_a.completed) == 1
+        assert _runtime_state(sim_a, runtime_a) == _runtime_state(sim_b, runtime_b)
+
+    def test_bounded_run_matches_stepping(self):
+        def build():
+            sim, runtime = self._runtime(workers=2)
+            # Two arrivals sit exactly on quantum boundaries: they must fire
+            # before that boundary's tick, which then preempts them.
+            arrivals = ((0.0, 3_000.0), (437_000.0, 250_000.0), (1_000_000.0, 7_500.0),
+                        (1_311_000.0, 40_000.0), (2_000_000.0, 1_000.0))
+            for arrival, service in arrivals:
+                thread = UThread(service_cycles=service, arrival_time=arrival)
+                sim.schedule_at(thread.arrival_time, lambda t=thread: runtime.spawn(t))
+            return sim, runtime
+
+        until = 3_000_000.0
+        sim_a, runtime_a = build()
+        sim_a.run(until=until)
+        sim_b, runtime_b = build()
+        while sim_b.peek_next_time() <= until:
+            sim_b.step()
+        sim_b.run(until=until)  # lands the clock on the bound, fires nothing
+
+        assert len(runtime_a.completed) == 5
+        assert sim_a.events_processed < sim_b.events_processed
+        assert _runtime_state(sim_a, runtime_a) == _runtime_state(sim_b, runtime_b)
+
+    def test_step_does_not_coalesce(self):
+        sim, runtime = self._runtime()
+        for _ in range(5):
+            assert sim.step()
+        assert sim.now == 50_000.0
+        assert [w.preemption_events for w in runtime.workers] == [5, 5, 5]
+
+    def test_max_events_run_does_not_coalesce(self):
+        sim, runtime = self._runtime()
+        sim.run(until=1_000_000.0, max_events=5)
+        assert sim.now == 50_000.0
+        assert [w.preemption_events for w in runtime.workers] == [5, 5, 5]
+
+    def test_stop_lets_unbounded_run_drain(self):
+        sim, runtime = self._runtime()
+        runtime.spawn(UThread(service_cycles=25_000.0))
+        sim.run(until=95_000.0)
+        ticks = [w.preemption_events for w in runtime.workers]
+        runtime.stop()
+        sim.run()
+        assert sim.pending() == 0
+        assert len(runtime.completed) == 1
+        assert [w.preemption_events for w in runtime.workers] == ticks
 
 
 class TestWorkStealing:

@@ -99,6 +99,18 @@ class TestRunBounds:
         sim.run()
         assert len(errors) == 1
 
+    def test_horizon_only_inside_bounded_runs(self):
+        sim = Simulator()
+        seen = []
+        for i in range(4):
+            sim.schedule(float(i + 1), lambda: seen.append(sim.horizon))
+        sim.step()
+        sim.run(until=2.0)
+        sim.run(until=3.0, max_events=1)
+        sim.run()
+        assert seen == [None, 2.0, None, None]
+        assert sim.horizon is None
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):
