@@ -15,7 +15,8 @@ speedup gate.  The dense compute benches (``count_loop_kb_timer``,
 ``memops_baseline``) carry the same gate since the macro-op trace tier
 (``REPRO_MACRO``, see ``repro.cpu.macroop``) landed: a pipeline that is
 busy every cycle has nothing to *skip*, but a steady-state loop body can
-be *replayed* in O(1) per iteration.
+be *replayed* in O(1) per iteration.  ``sec61_tracked_chain50`` gates the
+same tier on a spin loop that reads the clock beside a live neighbour.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_report.py``) or via
 pytest (``python -m pytest benchmarks/bench_report.py``).
@@ -36,7 +37,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.apps import microbench as mb
 from repro.common.counters import ENV_FAST, ENV_MACRO, GLOBAL_COUNTERS
-from repro.cpu.delivery import FlushStrategy
+from repro.cpu.delivery import FlushStrategy, TrackedStrategy
 from repro.cpu.multicore import MultiCoreSystem
 from repro.experiments import cycletier
 from repro.experiments.fig4_overheads import run_interval_sweep
@@ -198,6 +199,33 @@ def _bench_l3fwd_8core_sweep() -> Any:
     return _many_core_payload(system)
 
 
+def _bench_sec61_tracked_chain50() -> Any:
+    """One §6.1 point (``repro experiment sec61``): tracked delivery into a
+    50-load dependence chain feeding the stack pointer, with a dedicated
+    rdtsc-spin UIPI timer core beside it.
+
+    The receiver sleeps on DRAM misses while the sender spins, so the fast
+    loop has little to skip: the gain comes from the macro tier replaying
+    the sender's ``rdtsc; blt`` loop up to each of the receiver's wake-ups.
+    The trace is compared too, since it carries the delivery latency.
+    """
+    chain, iterations = 50, 40
+    result = cycletier.run_with_uipi_timer(
+        mb.make_sp_dependence_chain(chain_length=chain, iterations=iterations, stride=4096),
+        TrackedStrategy(),
+        interval=8_000,
+        trace=True,
+        expected_cycles=iterations * chain * 220 + 40_000,
+    )
+    system = result.system
+    payload = _many_core_payload(system)
+    payload["trace"] = [
+        (event.time, event.kind, tuple(sorted(event.detail.items())))
+        for event in system.trace.events
+    ]
+    return payload
+
+
 #: (name, runner, gated): gated benches must clear :data:`GATED_SPEEDUP`.
 BENCHES: Tuple[Tuple[str, Callable[[], Any], bool], ...] = (
     ("pointer_chase_baseline", _bench_pointer_chase_baseline, True),
@@ -207,6 +235,7 @@ BENCHES: Tuple[Tuple[str, Callable[[], Any], bool], ...] = (
     ("memops_baseline", _bench_memops_baseline, True),
     ("fig7_rocksdb_16core", _bench_fig7_rocksdb_16core, True),
     ("l3fwd_8core_sweep", _bench_l3fwd_8core_sweep, True),
+    ("sec61_tracked_chain50", _bench_sec61_tracked_chain50, True),
 )
 
 

@@ -583,6 +583,12 @@ class Core:
             ):
                 mac.note_backedge(uop.pc)
         self.strategy.on_commit(uop)
+        # A retired uop never reads an operand or wakes a dependent again.
+        # Dropping its links breaks the producer/dependent reference cycles,
+        # so retired uops are freed by refcount rather than piling up until
+        # the cyclic collector's next full pass.
+        uop.producers.clear()
+        uop.dependents.clear()
 
     def _apply_set_timer(self, uop: UOp) -> None:
         cycles_value = uop.source_value(uop.src_regs[0], self.arch_regs)
