@@ -14,10 +14,6 @@ using the whole-program state model extracted by
 - STA202: the fast loop's skip proof (``Core.next_activity_cycle`` and
   ``Core.note_skipped``) must reference every mutable ``Core`` field or
   exempt it in :data:`FAST_ACTIVITY_EXEMPT`.
-- STA203: dataclasses carrying ``to_json``/``from_json`` codecs (the
-  Scenario DSL and FaultPlan) must mention every field name in *both*
-  directions — a field added to the dataclass but not the codec would
-  silently drop state on round-trip.
 - STA204: read-only modules (``repro.obs``, ``repro.faults.invariants``)
   must not store to engine-state fields owned by other packages; the
   InvariantChecker's "read-only" promise becomes machine-checked.  Declared
@@ -56,7 +52,7 @@ import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ModuleSource, ProgramModel, ProgramRule, Rule, register
+from repro.analysis.rules import ModuleSource, ProgramModel, ProgramRule, register
 from repro.analysis.statemodel import (
     ClassModel,
     StateModel,
@@ -71,16 +67,6 @@ from repro.analysis.statemodel import (
 
 #: Modules that must be read-only over engine state (prefix match).
 READ_ONLY_MODULES: Tuple[str, ...] = ("repro.obs", "repro.faults.invariants")
-
-#: Dataclass-codec modules STA203 audits.
-JSON_CODEC_MODULES: Tuple[str, ...] = (
-    "repro.scenario.dsl",
-    "repro.faults.plan",
-    "repro.cluster.topology",
-    "repro.cluster.shard",
-    "repro.cluster.aggregate",
-    "repro.cluster.report",
-)
 
 #: Declared cross-package write grants: ``"Class.field" -> (module prefixes)``.
 #: These are the *interception points* — the complete, reviewed list of
@@ -201,7 +187,6 @@ _SNAPSHOT_FN_RE = re.compile(r"#\s*detlint:\s*snapshot-fn\[([A-Za-z0-9_,\s]+)\]"
 _ACTIVITY_FN_RE = re.compile(r"#\s*detlint:\s*activity-fn\[([A-Za-z0-9_,\s]+)\]")
 _EXEMPT_RE = re.compile(r"#\s*detlint:\s*exempt\[(\w+)\.(\w+)\]\s*--\s*(\S.*)")
 _GRANT_RE = re.compile(r"#\s*detlint:\s*write-grant\[(\w+)\.(\w+)\s+([\w.]+)\]")
-_JSON_CODEC_RE = re.compile(r"#\s*detlint:\s*json-codec\b")
 _READ_ONLY_RE = re.compile(r"#\s*detlint:\s*read-only-module\b")
 
 
@@ -437,85 +422,6 @@ class FastActivityCoverageRule(_CoverageRule):
                 surface=f"the skip proof of {source.module}",
                 manifest="FAST_ACTIVITY_EXEMPT",
             )
-
-
-# ---------------------------------------------------------------------------
-# STA203 — JSON codec completeness
-
-
-@register
-class JsonRoundTripRule(Rule):
-    """STA203 — to_json/from_json must mention every dataclass field."""
-
-    rule_id = "STA203"
-    description = (
-        "dataclass codec (to_json/from_json) does not mention every field "
-        "in both directions — round-trip would drop state"
-    )
-    hint = (
-        "emit and parse the field by its literal name in both to_json and "
-        "from_json (the strict unknown-key check makes renames loud; this "
-        "rule makes *omissions* loud too)"
-    )
-
-    def _applies(self, module: ModuleSource) -> bool:
-        return module.module in JSON_CODEC_MODULES or bool(
-            _JSON_CODEC_RE.search(module.text)
-        )
-
-    @staticmethod
-    def _is_dataclass(cls: ast.ClassDef) -> bool:
-        for decorator in cls.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = (
-                target.attr
-                if isinstance(target, ast.Attribute)
-                else getattr(target, "id", "")
-            )
-            if name == "dataclass":
-                return True
-        return False
-
-    @staticmethod
-    def _string_constants(fn: ast.AST) -> Set[str]:
-        return {
-            node.value
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not self._applies(module):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) or not self._is_dataclass(node):
-                continue
-            methods = {
-                stmt.name: stmt
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            to_json = methods.get("to_json")
-            from_json = methods.get("from_json")
-            if to_json is None or from_json is None:
-                continue
-            fields = [
-                stmt.target.id
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and "ClassVar" not in ast.unparse(stmt.annotation)
-            ]
-            for direction, fn in (("to_json", to_json), ("from_json", from_json)):
-                mentioned = self._string_constants(fn) | _attr_mentions(fn)
-                for field in fields:
-                    if field not in mentioned:
-                        yield self.finding(
-                            module,
-                            fn,
-                            f"{node.name}.{direction} never mentions field "
-                            f"`{field}` — JSON round-trip would drop it",
-                        )
 
 
 # ---------------------------------------------------------------------------

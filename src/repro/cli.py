@@ -487,7 +487,7 @@ def _cmd_fuzz(args) -> int:
     def progress(index, scenario, scenario_findings) -> None:
         for finding in scenario_findings:
             print(
-                f"seed {index} [{scenario.scenario_id()}]: {finding.kind} on "
+                f"seed {index} [{scenario.content_id()}]: {finding.kind} on "
                 f"{finding.leg} ({finding.fingerprint}) — {finding.detail}"
             )
 
@@ -564,7 +564,7 @@ def _cmd_fuzz_repro(args) -> int:
     scenario = artifact["scenario_obj"]
     target = artifact["fingerprint"]
     print(
-        f"replaying {args.artifact}: scenario {scenario.scenario_id()}, "
+        f"replaying {args.artifact}: scenario {scenario.content_id()}, "
         f"expecting {artifact['kind']} on {artifact['leg']} ({target})"
     )
     findings = run_one(scenario)

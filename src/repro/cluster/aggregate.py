@@ -12,17 +12,17 @@ p999(tracked) > p999(timer), strictly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.common.codec import JsonCodec, decode
 from repro.common.errors import ConfigError
 from repro.obs.hist import LatencyHistogram
-from repro.scenario.dsl import _reject_unknown, _require_int
 from repro.cluster.shard import ShardResult
 from repro.cluster.topology import CLUSTER_STRATEGIES
 
 
 @dataclass(frozen=True, slots=True)
-class StrategyAggregate:
+class StrategyAggregate(JsonCodec):
     """Cluster-wide totals and tail percentiles for one strategy."""
 
     strategy: str
@@ -40,71 +40,18 @@ class StrategyAggregate:
     p999: Optional[float]
     hist_state: Dict[str, Any]
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "shards": self.shards,
-            "tenants": self.tenants,
-            "offered": self.offered,
-            "completed": self.completed,
-            "in_window": self.in_window,
-            "scans": self.scans,
-            "preemptions_total": self.preemptions_total,
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p99": self.p99,
-            "p999": self.p999,
-            "hist_state": self.hist_state,
-        }
-
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "StrategyAggregate":
-        _reject_unknown(
-            obj,
-            (
-                "strategy",
-                "shards",
-                "tenants",
-                "offered",
-                "completed",
-                "in_window",
-                "scans",
-                "preemptions_total",
-                "count",
-                "mean",
-                "p50",
-                "p99",
-                "p999",
-                "hist_state",
-            ),
-            "strategy aggregate",
-        )
-        hist_state = obj.get("hist_state", {})
-        LatencyHistogram.from_state(hist_state)  # validate eagerly
-        return cls(
-            strategy=obj.get("strategy", "flush"),
-            shards=_require_int(obj.get("shards", 0), "shards"),
-            tenants=_require_int(obj.get("tenants", 0), "tenants"),
-            offered=_require_int(obj.get("offered", 0), "offered"),
-            completed=_require_int(obj.get("completed", 0), "completed"),
-            in_window=_require_int(obj.get("in_window", 0), "in_window"),
-            scans=_require_int(obj.get("scans", 0), "scans"),
-            preemptions_total=_require_int(obj.get("preemptions_total", 0), "preemptions_total"),
-            count=_require_int(obj.get("count", 0), "count"),
-            mean=obj.get("mean"),
-            p50=obj.get("p50"),
-            p99=obj.get("p99"),
-            p999=obj.get("p999"),
-            hist_state=dict(hist_state),
-        )
+    def from_json(cls, obj: Any) -> "StrategyAggregate":
+        aggregate = decode(cls, obj)
+        LatencyHistogram.from_state(aggregate.hist_state)  # validate eagerly
+        return aggregate
 
     def histogram(self) -> LatencyHistogram:
         return LatencyHistogram.from_state(self.hist_state)
 
 
 @dataclass(frozen=True, slots=True)
-class OrderingVerdict:
+class OrderingVerdict(JsonCodec):
     """The Figure-7 check: is p999 strictly ordered flush > tracked > timer?
 
     ``applicable`` is False when the topology swept a strict subset of the
@@ -116,28 +63,6 @@ class OrderingVerdict:
     ok: bool
     expected: Tuple[str, ...]
     p999: Dict[str, Optional[float]]
-
-    def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "ok": self.ok,
-            "expected": list(self.expected),
-            "p999": dict(self.p999),
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "OrderingVerdict":
-        _reject_unknown(obj, ("applicable", "ok", "expected", "p999"), "ordering verdict")
-        expected = obj.get("expected", list(CLUSTER_STRATEGIES))
-        p999 = obj.get("p999", {})
-        if not isinstance(p999, Mapping):
-            raise ConfigError("verdict p999 must be an object")
-        return cls(
-            applicable=bool(obj.get("applicable", False)),
-            ok=bool(obj.get("ok", False)),
-            expected=tuple(expected),
-            p999=dict(p999),
-        )
 
 
 def aggregate_strategy(strategy: str, results: Sequence[ShardResult]) -> StrategyAggregate:

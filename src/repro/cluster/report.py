@@ -10,13 +10,12 @@ so the same blocking-CI reader consumes both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Tuple
 
+from repro.common.codec import JsonCodec, decode
 from repro.common.errors import ConfigError
 from repro.common.units import cycles_to_us
-from repro.scenario.dsl import _reject_unknown
 from repro.cluster.aggregate import OrderingVerdict, StrategyAggregate
 from repro.cluster.topology import ClusterTopology
 
@@ -30,7 +29,7 @@ PAPER_SCALE_TENANTS = 1_000
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterReport:
+class ClusterReport(JsonCodec):
     """Everything one cluster run produced, in canonical form."""
 
     topology: ClusterTopology
@@ -78,38 +77,27 @@ class ClusterReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "topology": self.topology.to_json(),
-            "aggregates": [agg.to_json() for agg in self.aggregates],
-            "verdict": self.verdict.to_json(),
-            "scale": {
-                "tenants": self.topology.tenants,
-                "paper_tenants": PAPER_SCALE_TENANTS,
-                "factor": self.scale_factor,
-            },
-            "checks": self.checks(),
+        """The fields plus the derived ``schema``, ``scale`` and ``checks``."""
+        out = JsonCodec.to_json(self)
+        out["schema"] = REPORT_SCHEMA
+        out["scale"] = {
+            "tenants": self.topology.tenants,
+            "paper_tenants": PAPER_SCALE_TENANTS,
+            "factor": self.scale_factor,
         }
+        out["checks"] = self.checks()
+        return out
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "ClusterReport":
-        _reject_unknown(
-            obj,
-            ("schema", "topology", "aggregates", "verdict", "scale", "checks"),
-            "cluster report",
-        )
-        schema = obj.get("schema", REPORT_SCHEMA)
-        if schema != REPORT_SCHEMA:
-            raise ConfigError(f"unsupported cluster report schema {schema!r}")
-        aggregates = obj.get("aggregates", [])
-        if not isinstance(aggregates, (list, tuple)):
-            raise ConfigError("report aggregates must be a list")
-        return cls(
-            topology=ClusterTopology.from_json(obj.get("topology", {})),
-            aggregates=tuple(StrategyAggregate.from_json(a) for a in aggregates),
-            verdict=OrderingVerdict.from_json(obj.get("verdict", {})),
-        )
+    def from_json(cls, obj: Any) -> "ClusterReport":
+        """Checks the schema; the derived keys are recomputed, not read."""
+        if isinstance(obj, Mapping):
+            schema = obj.get("schema", REPORT_SCHEMA)
+            if schema != REPORT_SCHEMA:
+                raise ConfigError(f"unsupported cluster report schema {schema!r}")
+            obj = {k: v for k, v in obj.items() if k not in ("schema", "scale", "checks")}
+        return decode(cls, obj)
 
     def dumps(self) -> str:
         """Byte-stable canonical dump (the re-run determinism contract)."""
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        return JsonCodec.dumps(self) + "\n"

@@ -19,15 +19,15 @@ arrival process itself is strategy-independent (common random numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
+from repro.common.codec import JsonCodec, decode
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams
 from repro.notify.costs import CostModel
 from repro.obs.hist import LatencyHistogram
 from repro.runtime.aspen import AspenRuntime, RuntimeConfig
 from repro.runtime.uthread import UThread
-from repro.scenario.dsl import _reject_unknown, _require_int
 from repro.sim.simulator import Simulator
 from repro.cluster.tenant import schedule_scenario
 from repro.cluster.topology import STRATEGY_MECHANISMS, TenantSpec
@@ -49,7 +49,7 @@ MEASURED_KINDS = {
 
 
 @dataclass(frozen=True, slots=True)
-class ShardJob:
+class ShardJob(JsonCodec):
     """One (shard, strategy) sweep point — pure input, stable identity."""
 
     shard_index: int
@@ -80,57 +80,9 @@ class ShardJob:
     def tenants(self) -> int:
         return sum(group.count for group in self.groups)
 
-    def to_json(self) -> dict:
-        return {
-            "shard_index": self.shard_index,
-            "host": self.host,
-            "strategy": self.strategy,
-            "workers": self.workers,
-            "groups": [group.to_json() for group in self.groups],
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "sub_bits": self.sub_bits,
-            "costs": dict(sorted(vars(self.costs).items())),
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "ShardJob":
-        _reject_unknown(
-            obj,
-            (
-                "shard_index",
-                "host",
-                "strategy",
-                "workers",
-                "groups",
-                "duration_ms",
-                "seed",
-                "sub_bits",
-                "costs",
-            ),
-            "shard job",
-        )
-        groups = obj.get("groups", [])
-        if not isinstance(groups, (list, tuple)):
-            raise ConfigError("shard job groups must be a list")
-        costs = obj.get("costs", {})
-        if not isinstance(costs, Mapping):
-            raise ConfigError("shard job costs must be an object")
-        return cls(
-            shard_index=_require_int(obj.get("shard_index", 0), "shard_index"),
-            host=_require_int(obj.get("host", 0), "host"),
-            strategy=obj.get("strategy", "flush"),
-            workers=_require_int(obj.get("workers", 1), "workers"),
-            groups=tuple(TenantSpec.from_json(group) for group in groups),
-            duration_ms=float(obj.get("duration_ms", 20.0)),
-            seed=_require_int(obj.get("seed", 0), "seed"),
-            sub_bits=_require_int(obj.get("sub_bits", 8), "sub_bits"),
-            costs=CostModel(**costs),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ShardResult:
+class ShardResult(JsonCodec):
     """One shard's measured outcome (exact histogram state rides along)."""
 
     shard_index: int
@@ -144,52 +96,11 @@ class ShardResult:
     preemptions_total: int
     hist_state: Dict[str, Any]
 
-    def to_json(self) -> dict:
-        return {
-            "shard_index": self.shard_index,
-            "host": self.host,
-            "strategy": self.strategy,
-            "tenants": self.tenants,
-            "offered": self.offered,
-            "completed": self.completed,
-            "in_window": self.in_window,
-            "scans": self.scans,
-            "preemptions_total": self.preemptions_total,
-            "hist_state": self.hist_state,
-        }
-
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "ShardResult":
-        _reject_unknown(
-            obj,
-            (
-                "shard_index",
-                "host",
-                "strategy",
-                "tenants",
-                "offered",
-                "completed",
-                "in_window",
-                "scans",
-                "preemptions_total",
-                "hist_state",
-            ),
-            "shard result",
-        )
-        hist_state = obj.get("hist_state", {})
-        LatencyHistogram.from_state(hist_state)  # validate eagerly
-        return cls(
-            shard_index=_require_int(obj.get("shard_index", 0), "shard_index"),
-            host=_require_int(obj.get("host", 0), "host"),
-            strategy=obj.get("strategy", "flush"),
-            tenants=_require_int(obj.get("tenants", 0), "tenants"),
-            offered=_require_int(obj.get("offered", 0), "offered"),
-            completed=_require_int(obj.get("completed", 0), "completed"),
-            in_window=_require_int(obj.get("in_window", 0), "in_window"),
-            scans=_require_int(obj.get("scans", 0), "scans"),
-            preemptions_total=_require_int(obj.get("preemptions_total", 0), "preemptions_total"),
-            hist_state=dict(hist_state),
-        )
+    def from_json(cls, obj: Any) -> "ShardResult":
+        result = decode(cls, obj)
+        LatencyHistogram.from_state(result.hist_state)  # validate eagerly
+        return result
 
     def histogram(self) -> LatencyHistogram:
         return LatencyHistogram.from_state(self.hist_state)

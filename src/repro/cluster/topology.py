@@ -4,9 +4,11 @@ A :class:`ClusterTopology` is the whole experiment's identity: how many
 tenants, how they partition into shards, which hosts the shards land on,
 what workload template each tenant runs and which notification strategies
 are swept.  It follows the scenario-DSL idiom — frozen slotted dataclasses,
-``__post_init__`` validation raising :class:`ConfigError`, strict
-``from_json`` that rejects unknown keys, and a byte-stable ``dumps`` whose
-hash (:meth:`ClusterTopology.topology_id`) keys checkpoints and reports.
+``__post_init__`` validation raising :class:`ConfigError`, and the shared
+strict codec (:class:`~repro.common.codec.JsonCodec`): ``from_json``
+rejects unknown keys and wrong types, and the hash of the byte-stable
+``dumps`` (:meth:`~repro.common.codec.JsonCodec.content_id`) keys
+checkpoints and reports.
 
 Shard independence is what makes the fan-out exact: tenants never share
 queues or cores across shards, every shard derives its own RNG seed via
@@ -18,15 +20,13 @@ ordering verdict is never an artifact of sampling noise.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Tuple
+from typing import Tuple
 
+from repro.common.codec import JsonCodec, require_int, require_number
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.notify.mechanisms import Mechanism
-from repro.scenario.dsl import _reject_unknown, _require_int
 from repro.scenario.tenants import TENANT_TEMPLATES
 
 #: Strategy names swept by the cluster layer, in Figure-7 p999 order
@@ -58,14 +58,8 @@ MAX_TENANTS = 1_000_000_000
 MAX_SHARDS = 65_536
 
 
-def _require_number(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True, slots=True)
-class TenantSpec:
+class TenantSpec(JsonCodec):
     """A homogeneous group of tenants: template, head-count, per-tenant rate."""
 
     template: str
@@ -78,28 +72,16 @@ class TenantSpec:
             raise ConfigError(
                 f"tenant template must be one of [{known}], got {self.template!r}"
             )
-        _require_int(self.count, "tenant count")
+        require_int(self.count, "tenant count")
         if not 1 <= self.count <= MAX_TENANTS:
             raise ConfigError(f"tenant count must be in [1, {MAX_TENANTS}], got {self.count}")
-        rps = _require_number(self.rps, "tenant rps")
+        rps = require_number(self.rps, "tenant rps")
         if not 0 < rps <= 1_000_000:
             raise ConfigError(f"tenant rps must be in (0, 1e6], got {self.rps!r}")
 
-    def to_json(self) -> dict:
-        return {"template": self.template, "count": self.count, "rps": self.rps}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "TenantSpec":
-        _reject_unknown(obj, ("template", "count", "rps"), "tenant spec")
-        return cls(
-            template=obj.get("template", "rocksdb"),
-            count=_require_int(obj.get("count", 1), "tenant count"),
-            rps=_require_number(obj.get("rps", 1.0), "tenant rps"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ShardSpec:
+class ShardSpec(JsonCodec):
     """One shard's placement and sizing (derived from the topology)."""
 
     index: int
@@ -110,11 +92,11 @@ class ShardSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        _require_int(self.index, "shard index")
-        _require_int(self.host, "shard host")
-        _require_int(self.tenants, "shard tenants")
-        _require_int(self.workers, "shard workers")
-        _require_int(self.seed, "shard seed")
+        require_int(self.index, "shard index")
+        require_int(self.host, "shard host")
+        require_int(self.tenants, "shard tenants")
+        require_int(self.workers, "shard workers")
+        require_int(self.seed, "shard seed")
         if self.index < 0 or self.host < 0:
             raise ConfigError(f"shard index/host must be >= 0, got {self.index}/{self.host}")
         if self.tenants < 0:
@@ -126,33 +108,9 @@ class ShardSpec:
         if self.scenario not in TENANT_TEMPLATES:
             raise ConfigError(f"unknown shard scenario {self.scenario!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "host": self.host,
-            "tenants": self.tenants,
-            "workers": self.workers,
-            "scenario": self.scenario,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "ShardSpec":
-        _reject_unknown(
-            obj, ("index", "host", "tenants", "workers", "scenario", "seed"), "shard spec"
-        )
-        return cls(
-            index=_require_int(obj.get("index", 0), "shard index"),
-            host=_require_int(obj.get("host", 0), "shard host"),
-            tenants=_require_int(obj.get("tenants", 0), "shard tenants"),
-            workers=_require_int(obj.get("workers", 1), "shard workers"),
-            scenario=obj.get("scenario", "rocksdb"),
-            seed=_require_int(obj.get("seed", 0), "shard seed"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ClusterTopology:
+class ClusterTopology(JsonCodec):
     """The validated, canonical identity of one cluster experiment."""
 
     name: str = "cluster"
@@ -170,12 +128,12 @@ class ClusterTopology:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ConfigError(f"topology name must be a non-empty string, got {self.name!r}")
-        _require_int(self.tenants, "tenants")
-        _require_int(self.shards, "shards")
-        _require_int(self.hosts, "hosts")
-        _require_int(self.cores_per_shard, "cores_per_shard")
-        _require_int(self.seed, "seed")
-        _require_int(self.sub_bits, "sub_bits")
+        require_int(self.tenants, "tenants")
+        require_int(self.shards, "shards")
+        require_int(self.hosts, "hosts")
+        require_int(self.cores_per_shard, "cores_per_shard")
+        require_int(self.seed, "seed")
+        require_int(self.sub_bits, "sub_bits")
         if not 1 <= self.tenants <= MAX_TENANTS:
             raise ConfigError(f"tenants must be in [1, {MAX_TENANTS}], got {self.tenants}")
         if not 1 <= self.shards <= MAX_SHARDS:
@@ -206,10 +164,10 @@ class ClusterTopology:
             if strategy in seen:
                 raise ConfigError(f"duplicate strategy {strategy!r}")
             seen.append(strategy)
-        rps = _require_number(self.tenant_rps, "tenant_rps")
+        rps = require_number(self.tenant_rps, "tenant_rps")
         if not 0 < rps <= 1_000_000:
             raise ConfigError(f"tenant_rps must be in (0, 1e6], got {self.tenant_rps!r}")
-        duration = _require_number(self.duration_ms, "duration_ms")
+        duration = require_number(self.duration_ms, "duration_ms")
         if not 1.0 <= duration <= 10_000.0:
             raise ConfigError(f"duration_ms must be in [1, 10000], got {self.duration_ms!r}")
         if not 1 <= self.sub_bits <= 12:
@@ -252,64 +210,3 @@ class ClusterTopology:
         return TenantSpec(
             template=self.scenario, count=self.tenants_for_shard(index), rps=self.tenant_rps
         )
-
-    # -- canonical form ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "tenants": self.tenants,
-            "shards": self.shards,
-            "hosts": self.hosts,
-            "cores_per_shard": self.cores_per_shard,
-            "scenario": self.scenario,
-            "strategies": list(self.strategies),
-            "tenant_rps": self.tenant_rps,
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "sub_bits": self.sub_bits,
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "ClusterTopology":
-        _reject_unknown(
-            obj,
-            (
-                "name",
-                "tenants",
-                "shards",
-                "hosts",
-                "cores_per_shard",
-                "scenario",
-                "strategies",
-                "tenant_rps",
-                "duration_ms",
-                "seed",
-                "sub_bits",
-            ),
-            "cluster topology",
-        )
-        strategies = obj.get("strategies", list(CLUSTER_STRATEGIES))
-        if not isinstance(strategies, (list, tuple)):
-            raise ConfigError(f"strategies must be a list, got {strategies!r}")
-        return cls(
-            name=obj.get("name", "cluster"),
-            tenants=_require_int(obj.get("tenants", 4096), "tenants"),
-            shards=_require_int(obj.get("shards", 16), "shards"),
-            hosts=_require_int(obj.get("hosts", 4), "hosts"),
-            cores_per_shard=_require_int(obj.get("cores_per_shard", 1), "cores_per_shard"),
-            scenario=obj.get("scenario", "rocksdb"),
-            strategies=tuple(strategies),
-            tenant_rps=_require_number(obj.get("tenant_rps", 50.0), "tenant_rps"),
-            duration_ms=_require_number(obj.get("duration_ms", 20.0), "duration_ms"),
-            seed=_require_int(obj.get("seed", 0), "seed"),
-            sub_bits=_require_int(obj.get("sub_bits", CLUSTER_SUB_BITS), "sub_bits"),
-        )
-
-    def dumps(self) -> str:
-        """Byte-stable canonical form: equal topologies dump identically."""
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-    def topology_id(self) -> str:
-        """Content hash of the canonical dump (experiment identity)."""
-        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()[:12]

@@ -41,12 +41,12 @@ Fault kinds
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
+from repro.common.codec import JsonCodec, require_int
 from repro.common.errors import ConfigError
 
 #: Every fault kind the injectors understand, in canonical order.
@@ -77,38 +77,8 @@ CYCLE_TIER_KINDS: Tuple[str, ...] = tuple(
 MAX_CYCLE_VALUE = 2**62
 
 
-def _require_plan_int(value: object, what: str) -> int:
-    """An actual non-negative bounded int — bools, floats, and strings are
-    deserialization errors, not coercions."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < 0:
-        raise ConfigError(f"{what} must be non-negative, got {value}")
-    if value > MAX_CYCLE_VALUE:
-        raise ConfigError(f"{what} is out of range (> {MAX_CYCLE_VALUE}): {value}")
-    return value
-
-
-def _reject_unknown_keys(obj: object, allowed: Tuple[str, ...], what: str) -> dict:
-    """Strict JSON object policy: unknown keys are errors, never dropped.
-
-    A plan dump is a replay artifact — a key this version doesn't
-    understand means the dump came from a different schema, and silently
-    ignoring it would replay a *different* fault schedule than the one
-    that produced the failure.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{what} has unknown key(s) {unknown}; expected a subset of {sorted(allowed)}"
-        )
-    return obj
-
-
 @dataclass(frozen=True, slots=True)
-class Fault:
+class Fault(JsonCodec):
     """One scheduled fault.
 
     ``at`` is a cycle (scheduled kinds) and ``index`` a 1-based accept
@@ -143,34 +113,9 @@ class Fault:
         if self.kind in ("delay_send", "timer_drift") and self.delay < 1:
             raise ConfigError(f"{self.kind} needs a positive delay, got {self.delay}")
 
-    def to_json(self) -> dict:
-        return {
-            "at": self.at,
-            "core": self.core,
-            "delay": self.delay,
-            "index": self.index,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Fault":
-        _reject_unknown_keys(obj, ("kind", "core", "at", "index", "delay"), "fault")
-        if "kind" not in obj:
-            raise ConfigError("fault is missing required key 'kind'")
-        kind = obj["kind"]
-        if not isinstance(kind, str):
-            raise ConfigError(f"fault kind must be a string, got {kind!r}")
-        return cls(
-            kind=kind,
-            core=_require_plan_int(obj.get("core", 0), "fault core"),
-            at=_require_plan_int(obj.get("at", 0), "fault at"),
-            index=_require_plan_int(obj.get("index", 0), "fault index"),
-            delay=_require_plan_int(obj.get("delay", 0), "fault delay"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class FaultPlan:
+class FaultPlan(JsonCodec):
     """A seed plus the fault schedule it generated (or a hand-built one).
 
     ``dumps()`` is byte-stable: two equal plans serialise to identical
@@ -179,40 +124,13 @@ class FaultPlan:
     """
 
     seed: int
-    faults: Tuple[Fault, ...] = ()
+    faults: Tuple[Fault, ...]
 
     def __post_init__(self) -> None:
+        # derive_seed() and FaultPlan.random() take any 64-bit seed.
+        if not 0 <= require_int(self.seed, "fault plan seed") < 2**64:
+            raise ConfigError(f"fault plan seed must be in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "faults", tuple(self.faults))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-    def to_json(self) -> dict:
-        return {"faults": [f.to_json() for f in self.faults], "seed": self.seed}
-
-    @classmethod
-    def loads(cls, text: str) -> "FaultPlan":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"fault plan JSON does not parse: {exc}") from exc
-        return cls.from_json(obj)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FaultPlan":
-        _reject_unknown_keys(obj, ("seed", "faults"), "fault plan")
-        for key in ("seed", "faults"):
-            if key not in obj:
-                raise ConfigError(f"fault plan is missing required key {key!r}")
-        faults = obj["faults"]
-        if not isinstance(faults, list):
-            raise ConfigError(
-                f"fault plan 'faults' must be a list, got {type(faults).__name__}"
-            )
-        return cls(
-            seed=_require_plan_int(obj["seed"], "fault plan seed"),
-            faults=tuple(Fault.from_json(f) for f in faults),
-        )
 
     def for_core(self, core: int) -> Tuple[Fault, ...]:
         return tuple(f for f in self.faults if f.core == core)

@@ -60,7 +60,7 @@ class CrashCorpus:
         artifact["version"] = ARTIFACT_VERSION
         if shrink_result is not None and shrink_result.shrank:
             artifact["shrunk"] = {
-                "from_scenario_id": shrink_result.original.scenario_id(),
+                "from_scenario_id": shrink_result.original.content_id(),
                 "from_size_key": list(shrink_result.original.size_key()),
                 "to_size_key": list(finding.scenario.size_key()),
                 "steps_accepted": shrink_result.steps_accepted,

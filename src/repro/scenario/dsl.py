@@ -4,11 +4,14 @@ Every scenario is a frozen dataclass tree.  Construction *is* validation —
 an out-of-range knob, a dangling link endpoint, or a fault targeting a
 nonexistent core raises :class:`~repro.common.errors.ConfigError`
 immediately, so no invalid scenario can ever be serialized, generated, or
-shrunk into existence.  The JSON codec is strict the same way:
-``from_json`` rejects unknown keys and wrong types instead of silently
-dropping them, and ``dumps()`` is byte-stable (sorted keys, compact
-separators), so a scenario is a reproducible artifact: the dump alone
-rebuilds the identical object anywhere.
+shrunk into existence.  The JSON form comes from the shared strict codec
+(:class:`~repro.common.codec.JsonCodec`): ``from_json`` rejects unknown
+keys and wrong types instead of silently dropping them, and ``dumps()`` is
+byte-stable (sorted keys, compact separators), so a scenario is a
+reproducible artifact: the dump alone rebuilds the identical object
+anywhere.  Only :class:`WorkloadSpec` (knobs as a JSON object),
+:class:`CoreSpec` (unset fields omitted) and :class:`FaultSpec` (random-form
+keys omitted when unused) shape their JSON by hand.
 
 Schema overview::
 
@@ -27,11 +30,10 @@ Schema overview::
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.common.codec import JsonCodec, decode, require_int
 from repro.common.errors import ConfigError
 from repro.faults.plan import CYCLE_TIER_KINDS, FAULT_KINDS, MESSAGE_KINDS, Fault
 
@@ -97,25 +99,8 @@ MAX_SENDER_COUNT = 256
 MAX_CORES = 8
 
 
-def _require_int(value: Any, what: str) -> int:
-    """An actual int — bools and floats are type errors, not coercions."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _reject_unknown(obj: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{what} has unknown key(s) {unknown}; expected a subset of {sorted(allowed)}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
-class WorkloadSpec:
+class WorkloadSpec(JsonCodec):
     """One microbenchmark kind plus its validated knobs.
 
     Knobs are stored as a sorted ``(name, value)`` tuple so the dataclass
@@ -141,7 +126,7 @@ class WorkloadSpec:
                     f"subset of {sorted(schema)}"
                 )
             lo, hi, pow2 = schema[name]
-            value = _require_int(value, f"{self.kind}.{name}")
+            value = require_int(value, f"{self.kind}.{name}")
             if not lo <= value <= hi:
                 raise ConfigError(
                     f"{self.kind}.{name} must be in [{lo}, {hi}], got {value}"
@@ -155,51 +140,36 @@ class WorkloadSpec:
         return dict(self.knobs).get(name, default)
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "knobs": {k: v for k, v in self.knobs}}
+        return {"kind": self.kind, "knobs": dict(self.knobs)}
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "WorkloadSpec":
-        _reject_unknown(obj, ("kind", "knobs"), "workload spec")
-        if "kind" not in obj:
-            raise ConfigError("workload spec is missing required key 'kind'")
-        knobs = obj.get("knobs", {})
-        if not isinstance(knobs, Mapping):
-            raise ConfigError("workload knobs must be a JSON object")
-        return cls(
-            kind=obj["kind"],
-            knobs=tuple(
-                (str(k), _require_int(v, f"knob {k}")) for k, v in sorted(knobs.items())
-            ),
-        )
+    def from_json(cls, obj: Any) -> "WorkloadSpec":
+        """Knobs travel as a JSON object, not as the stored pair tuple."""
+        if isinstance(obj, Mapping) and "knobs" in obj:
+            knobs = obj["knobs"]
+            if not isinstance(knobs, Mapping):
+                raise ConfigError("workload knobs must be a JSON object")
+            obj = {**obj, "knobs": sorted(knobs.items())}
+        return decode(cls, obj)
 
 
 @dataclass(frozen=True, slots=True)
-class TimerSpec:
+class TimerSpec(JsonCodec):
     """A periodic KB timer program: the hardware timer of §4.3."""
 
     period: int
 
     def __post_init__(self) -> None:
-        _require_int(self.period, "timer period")
+        require_int(self.period, "timer period")
         if not MIN_TIMER_PERIOD <= self.period <= MAX_TIMER_PERIOD:
             raise ConfigError(
                 f"timer period must be in [{MIN_TIMER_PERIOD}, {MAX_TIMER_PERIOD}], "
                 f"got {self.period}"
             )
 
-    def to_json(self) -> dict:
-        return {"period": self.period}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "TimerSpec":
-        _reject_unknown(obj, ("period",), "timer spec")
-        if "period" not in obj:
-            raise ConfigError("timer spec is missing required key 'period'")
-        return cls(period=_require_int(obj["period"], "timer period"))
-
 
 @dataclass(frozen=True, slots=True)
-class CoreSpec:
+class CoreSpec(JsonCodec):
     """One core: role, workload/strategy assignment, timer, load profile.
 
     - ``workload`` cores run ``workload`` under ``strategy`` (optionally in
@@ -239,8 +209,8 @@ class CoreSpec:
                 raise ConfigError("sender cores take no workload or kb_timer")
             if self.interval is None or self.count is None:
                 raise ConfigError("sender cores require interval and count")
-            _require_int(self.interval, "sender interval")
-            _require_int(self.count, "sender count")
+            require_int(self.interval, "sender interval")
+            require_int(self.count, "sender count")
             if not MIN_SENDER_INTERVAL <= self.interval <= MAX_SENDER_INTERVAL:
                 raise ConfigError(
                     f"sender interval must be in [{MIN_SENDER_INTERVAL}, "
@@ -260,48 +230,16 @@ class CoreSpec:
                 raise ConfigError("idle cores take no workload, timer, or load fields")
 
     def to_json(self) -> dict:
-        out: Dict[str, Any] = {"role": self.role, "strategy": self.strategy}
-        if self.workload is not None:
-            out["workload"] = self.workload.to_json()
-        if self.safepoint:
-            out["safepoint"] = True
-        if self.kb_timer is not None:
-            out["kb_timer"] = self.kb_timer.to_json()
-        if self.interval is not None:
-            out["interval"] = self.interval
-        if self.count is not None:
-            out["count"] = self.count
-        return out
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "CoreSpec":
-        _reject_unknown(
-            obj,
-            ("role", "workload", "strategy", "safepoint", "kb_timer", "interval", "count"),
-            "core spec",
-        )
-        workload = obj.get("workload")
-        kb_timer = obj.get("kb_timer")
-        safepoint = obj.get("safepoint", False)
-        if not isinstance(safepoint, bool):
-            raise ConfigError(f"safepoint must be a bool, got {safepoint!r}")
-        return cls(
-            role=obj.get("role", "workload"),
-            workload=WorkloadSpec.from_json(workload) if workload is not None else None,
-            strategy=obj.get("strategy", "flush"),
-            safepoint=safepoint,
-            kb_timer=TimerSpec.from_json(kb_timer) if kb_timer is not None else None,
-            interval=(
-                _require_int(obj["interval"], "sender interval")
-                if "interval" in obj
-                else None
-            ),
-            count=_require_int(obj["count"], "sender count") if "count" in obj else None,
-        )
+        """Unset fields (``None``, and ``safepoint=False``) are omitted."""
+        return {
+            key: value
+            for key, value in JsonCodec.to_json(self).items()
+            if value is not None and value is not False
+        }
 
 
 @dataclass(frozen=True, slots=True)
-class UipiLink:
+class UipiLink(JsonCodec):
     """A UIPI route: ``sender`` core's UITT slot 0 -> ``receiver``'s UPID."""
 
     sender: int
@@ -309,9 +247,9 @@ class UipiLink:
     vector: int = 1
 
     def __post_init__(self) -> None:
-        _require_int(self.sender, "link sender")
-        _require_int(self.receiver, "link receiver")
-        _require_int(self.vector, "link vector")
+        require_int(self.sender, "link sender")
+        require_int(self.receiver, "link receiver")
+        require_int(self.vector, "link vector")
         if self.sender < 0 or self.receiver < 0:
             raise ConfigError(f"link endpoints must be non-negative: {self}")
         if self.sender == self.receiver:
@@ -319,24 +257,9 @@ class UipiLink:
         if not 1 <= self.vector <= 63:
             raise ConfigError(f"user vector must be in [1, 63], got {self.vector}")
 
-    def to_json(self) -> dict:
-        return {"receiver": self.receiver, "sender": self.sender, "vector": self.vector}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "UipiLink":
-        _reject_unknown(obj, ("sender", "receiver", "vector"), "uipi link")
-        for key in ("sender", "receiver"):
-            if key not in obj:
-                raise ConfigError(f"uipi link is missing required key {key!r}")
-        return cls(
-            sender=_require_int(obj["sender"], "link sender"),
-            receiver=_require_int(obj["receiver"], "link receiver"),
-            vector=_require_int(obj.get("vector", 1), "link vector"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class FaultSpec:
+class FaultSpec(JsonCodec):
     """The fault plan: explicit :class:`Fault` records, a seeded random
     spec, or both (explicit faults win when present).
 
@@ -355,11 +278,11 @@ class FaultSpec:
     faults: Tuple[Fault, ...] = ()
 
     def __post_init__(self) -> None:
-        _require_int(self.seed, "fault seed")
-        _require_int(self.count, "fault count")
-        _require_int(self.horizon, "fault horizon")
-        _require_int(self.max_index, "fault max_index")
-        _require_int(self.max_delay, "fault max_delay")
+        require_int(self.seed, "fault seed")
+        require_int(self.count, "fault count")
+        require_int(self.horizon, "fault horizon")
+        require_int(self.max_index, "fault max_index")
+        require_int(self.max_delay, "fault max_delay")
         if self.count < 0 or self.count > 64:
             raise ConfigError(f"fault count must be in [0, 64], got {self.count}")
         if self.horizon < 1:
@@ -386,42 +309,19 @@ class FaultSpec:
         return len(self.faults) if self.is_explicit else self.count
 
     def to_json(self) -> dict:
-        out: Dict[str, Any] = {"count": self.count, "seed": self.seed}
-        if self.count:
-            out["horizon"] = self.horizon
-            out["kinds"] = list(self.kinds)
-            out["max_delay"] = self.max_delay
-            out["max_index"] = self.max_index
-        if self.faults:
-            out["faults"] = [f.to_json() for f in self.faults]
+        """The random-form keys appear only when ``count > 0``, and
+        ``faults`` only when the explicit list is non-empty."""
+        out = JsonCodec.to_json(self)
+        if not self.count:
+            for key in ("horizon", "kinds", "max_delay", "max_index"):
+                del out[key]
+        if not self.faults:
+            del out["faults"]
         return out
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "FaultSpec":
-        _reject_unknown(
-            obj,
-            ("seed", "count", "kinds", "horizon", "max_index", "max_delay", "faults"),
-            "fault spec",
-        )
-        faults = obj.get("faults", [])
-        if not isinstance(faults, (list, tuple)):
-            raise ConfigError("fault spec 'faults' must be a list")
-        kinds = obj.get("kinds", list(CYCLE_TIER_KINDS))
-        if not isinstance(kinds, (list, tuple)):
-            raise ConfigError("fault spec 'kinds' must be a list")
-        return cls(
-            seed=_require_int(obj.get("seed", 0), "fault seed"),
-            count=_require_int(obj.get("count", 0), "fault count"),
-            kinds=tuple(kinds),
-            horizon=_require_int(obj.get("horizon", 50_000), "fault horizon"),
-            max_index=_require_int(obj.get("max_index", 16), "fault max_index"),
-            max_delay=_require_int(obj.get("max_delay", 1_000), "fault max_delay"),
-            faults=tuple(Fault.from_json(f) for f in faults),
-        )
 
 
 @dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(JsonCodec):
     """A complete, validated, reproducible scenario."""
 
     name: str = "scenario"
@@ -441,8 +341,8 @@ class Scenario:
         object.__setattr__(self, "cores", cores)
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "engines", engines)
-        _require_int(self.max_cycles, "max_cycles")
-        _require_int(self.seed, "scenario seed")
+        require_int(self.max_cycles, "max_cycles")
+        require_int(self.seed, "scenario seed")
         if not MIN_MAX_CYCLES <= self.max_cycles <= MAX_MAX_CYCLES:
             raise ConfigError(
                 f"max_cycles must be in [{MIN_MAX_CYCLES}, {MAX_MAX_CYCLES}], "
@@ -535,62 +435,7 @@ class Scenario:
                     f"no UIPI link (no UPID to recognize against)"
                 )
 
-    # -- canonical JSON ------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "cores": [c.to_json() for c in self.cores],
-            "engines": list(self.engines),
-            "faults": self.faults.to_json(),
-            "links": [l.to_json() for l in self.links],
-            "max_cycles": self.max_cycles,
-            "name": self.name,
-            "seed": self.seed,
-        }
-
-    def dumps(self) -> str:
-        """Byte-stable canonical form: equal scenarios dump identically."""
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "Scenario":
-        _reject_unknown(
-            obj,
-            ("name", "cores", "links", "faults", "engines", "max_cycles", "seed"),
-            "scenario",
-        )
-        cores = obj.get("cores", [])
-        links = obj.get("links", [])
-        engines = obj.get("engines", list(ENGINE_LEG_NAMES))
-        if not isinstance(cores, (list, tuple)):
-            raise ConfigError("scenario 'cores' must be a list")
-        if not isinstance(links, (list, tuple)):
-            raise ConfigError("scenario 'links' must be a list")
-        if not isinstance(engines, (list, tuple)):
-            raise ConfigError("scenario 'engines' must be a list")
-        return cls(
-            name=obj.get("name", "scenario"),
-            cores=tuple(CoreSpec.from_json(c) for c in cores),
-            links=tuple(UipiLink.from_json(l) for l in links),
-            faults=FaultSpec.from_json(obj.get("faults", {})),
-            engines=tuple(engines),
-            max_cycles=_require_int(obj.get("max_cycles", 200_000), "max_cycles"),
-            seed=_require_int(obj.get("seed", 0), "scenario seed"),
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "Scenario":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario JSON does not parse: {exc}") from exc
-        return cls.from_json(obj)
-
-    # -- identity and size ---------------------------------------------
-
-    def scenario_id(self) -> str:
-        """Content hash of the canonical dump (scenario identity)."""
-        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()[:12]
+    # -- size ----------------------------------------------------------
 
     def size_key(self) -> Tuple[int, int, int, int, int]:
         """A lexicographic size metric the shrinker drives strictly down:

@@ -113,7 +113,7 @@ class FuzzFinding:
             "kind": self.kind,
             "leg": self.leg,
             "scenario": self.scenario.to_json(),
-            "scenario_id": self.scenario.scenario_id(),
+            "scenario_id": self.scenario.content_id(),
         }
 
     def with_scenario(self, scenario: Scenario) -> "FuzzFinding":

@@ -30,7 +30,6 @@ ALL_RULE_IDS = (
     "PRO104",
     "STA201",
     "STA202",
-    "STA203",
     "STA204",
     "STA205",
 )
@@ -251,14 +250,6 @@ def test_sta202_fires_on_new_core_field_in_real_tree(tmp_path):
     messages = [f.message for f in report.new_findings if f.rule_id == "STA202"]
     assert len(messages) == 1
     assert "spill_mask" in messages[0] and "Core" in messages[0]
-
-
-def test_sta203_names_the_dropped_field_per_direction():
-    report = scan("sta203_bad.py")
-    messages = [f.message for f in report.new_findings if f.rule_id == "STA203"]
-    assert any("vector" in m and "to_json" in m for m in messages)
-    assert any("vector" in m and "from_json" in m for m in messages)
-    assert not any("period" in m for m in messages)
 
 
 def test_sta204_message_names_module_and_class():

@@ -93,7 +93,7 @@ class TestRoundTrip:
         )
         clone = ClusterTopology.from_json(json.loads(json.dumps(topo.to_json())))
         assert clone == topo
-        assert clone.topology_id() == topo.topology_id()
+        assert clone.content_id() == topo.content_id()
         assert clone.dumps() == topo.dumps()
 
     def test_unknown_keys_rejected(self):

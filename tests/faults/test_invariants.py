@@ -9,7 +9,7 @@ from repro.faults.harness import build_cell, run_fault_cell
 
 class TestCleanRuns:
     def test_unfaulted_run_passes_all_checks(self):
-        plan = FaultPlan(seed=0)  # empty schedule: injector is a no-op
+        plan = FaultPlan(seed=0, faults=())  # empty schedule: injector is a no-op
         result = run_fault_cell(plan, "flush", engine="fast")
         acct = result["accounting"]
         assert acct["checks_run"] > 0
@@ -31,7 +31,7 @@ class TestCleanRuns:
         assert unchecked["accounting"] is None
 
     def test_double_install_rejected(self):
-        plan = FaultPlan(seed=0)
+        plan = FaultPlan(seed=0, faults=())
         system, _injector, checker = build_cell(plan, "flush")
         with pytest.raises(InvariantViolation):
             checker.install(system)
@@ -88,7 +88,7 @@ class TestInducedViolations:
 
     def test_uiret_state_violation_detected(self):
         """Force a uiret probe with no delivery in flight."""
-        plan = FaultPlan(seed=0)
+        plan = FaultPlan(seed=0, faults=())
         system, _injector, checker = build_cell(plan, "flush")
         core = system.cores[0]
         with pytest.raises(InvariantViolation) as excinfo:
@@ -96,7 +96,7 @@ class TestInducedViolations:
         assert "uiret" in str(excinfo.value)
 
     def test_clock_monotonicity_violation_detected(self):
-        plan = FaultPlan(seed=0)
+        plan = FaultPlan(seed=0, faults=())
         system, _injector, checker = build_cell(plan, "flush")
         core = system.cores[0]
         core.cycle = 100
@@ -107,7 +107,7 @@ class TestInducedViolations:
         assert "backwards" in str(excinfo.value)
 
     def test_rob_consistency_violation_detected(self):
-        plan = FaultPlan(seed=0)
+        plan = FaultPlan(seed=0, faults=())
         system, _injector, checker = build_cell(plan, "flush")
         core = system.cores[0]
         core.iq_count = 5  # phantom issue-queue entries with an empty ROB
@@ -120,7 +120,7 @@ class TestSafepointInvariant:
     def test_safepoint_mode_injection_checked(self):
         """In safepoint mode a tracked injection at a non-safepoint PC is a
         violation; the checker sees it at the inject probe."""
-        plan = FaultPlan(seed=0)
+        plan = FaultPlan(seed=0, faults=())
         system, _injector, checker = build_cell(
             plan, "tracked", safepoint=True
         )

@@ -14,6 +14,8 @@ from repro.faults.plan import (
     merge_plans,
     plan_for_kind,
 )
+from repro.scenario.compile import compile_plan
+from repro.scenario.generate import ScenarioGenerator
 
 
 class TestFaultValidation:
@@ -151,6 +153,23 @@ class TestStrictRoundTrip:
         obj["faults"][0]["at"] = "10"
         with pytest.raises(ConfigError):
             FaultPlan.loads(json.dumps(obj))
+
+    def test_compiled_fuzz_plans_round_trip(self):
+        # Generated scenarios carry 64-bit derived seeds; every compiled
+        # plan must survive its own dump (the InvariantViolation replay).
+        generator = ScenarioGenerator(0)
+        for index in range(150):
+            spec = generator.generate(index)
+            plan = compile_plan(spec.faults, cores=len(spec.cores))
+            assert FaultPlan.loads(plan.dumps()) == plan, index
+
+    def test_seed_must_fit_in_64_bits(self):
+        FaultPlan(seed=2**64 - 1, faults=())
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                FaultPlan(seed=seed, faults=())
+        with pytest.raises(ConfigError, match="seed"):
+            FaultPlan.loads(json.dumps({"seed": 2**64, "faults": []}))
 
     def test_fault_kind_must_be_string(self):
         obj = json.loads(self._dump())

@@ -230,8 +230,8 @@ class TestCanonicalJson:
 
     def test_scenario_id_tracks_content(self):
         s = self._rich()
-        assert s.scenario_id() == Scenario.loads(s.dumps()).scenario_id()
-        assert s.scenario_id() != scenario().scenario_id()
+        assert s.content_id() == Scenario.loads(s.dumps()).content_id()
+        assert s.content_id() != scenario().content_id()
 
     def test_malformed_json_raises_config_error(self):
         with pytest.raises(ConfigError):

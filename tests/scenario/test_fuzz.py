@@ -138,7 +138,7 @@ class TestRunOne:
         obj = finding.to_json()
         assert obj["engine_env"] == ENGINE_LEGS["fast"]
         assert Scenario.from_json(obj["scenario"]) == finding.scenario
-        assert obj["scenario_id"] == finding.scenario.scenario_id()
+        assert obj["scenario_id"] == finding.scenario.content_id()
 
     def test_artifact_naming_a_removed_leg_is_rejected(
         self, tmp_path, monkeypatch, capsys

@@ -114,7 +114,7 @@ class TestCorpus:
         path = corpus.save(result.finding, result)
         obj = corpus.load(path)
         shrunk = obj["shrunk"]
-        assert shrunk["from_scenario_id"] == roomy_scenario().scenario_id()
+        assert shrunk["from_scenario_id"] == roomy_scenario().content_id()
         assert shrunk["to_size_key"] < shrunk["from_size_key"]
         assert shrunk["steps_accepted"] == result.steps_accepted
 
