@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import ModuleSource, Rule, register

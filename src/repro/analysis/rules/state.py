@@ -80,11 +80,6 @@ WRITE_GRANTS: Dict[str, Tuple[str, ...]] = {
         "repro.scenario.compile",
         "repro.faults.harness",
     ),
-    # §4.3 the KB timer is kernel-managed: enable/disable and vector
-    # assignment are syscall surface (kernel writes), arming is done by the
-    # user-level instruction inside repro.cpu (owner).
-    "KBTimerState.enabled": ("repro.kernel",),
-    "KBTimerState.vector": ("repro.kernel",),
     # Declared fault-injection interception points: the injector may drift a
     # timer deadline and install an APIC-level interceptor — and nothing
     # else.  Any new injector mutation must be granted here to pass lint.

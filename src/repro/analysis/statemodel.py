@@ -118,9 +118,7 @@ STATE_CLASSES: Tuple[StateClassSpec, ...] = (
     _spec("repro.uintr.apic", "LocalApic"),
     _spec("repro.uintr.upid", "UPID"),
     _spec("repro.net.packet", "Packet"),
-    _spec("repro.kernel.threads", "KernelThread"),
     _spec("repro.accel.dsa", "OffloadRequest"),
-    _spec("repro.runtime.timerwheel", "TimeoutHandle"),
     _spec("repro.cluster.topology", "ClusterTopology"),
     _spec("repro.cluster.topology", "ShardSpec"),
     _spec("repro.cluster.topology", "TenantSpec"),
@@ -136,7 +134,6 @@ RECEIVER_HINTS: Dict[str, str] = {
     "uintr": "UserInterruptFile",
     "kb_timer": "KBTimerState",
     "timer": "KBTimerState",
-    "thread": "KernelThread",
     "queue": "EventQueue",
     "sim": "Simulator",
     "uop": "UOp",
@@ -236,18 +233,6 @@ class StateModel:
 
     def core_classes(self) -> Tuple[ClassModel, ...]:
         return tuple(c for c in self.classes if c.core_state)
-
-    def resolve_write(self, write: AttrWrite) -> Tuple[ClassModel, ...]:
-        """Candidate classes for one store: strict on receiver hint, else
-        every class declaring the field (empty = not modeled state)."""
-        candidates = self.classes_with_field(write.attr)
-        if not candidates:
-            return ()
-        hinted = RECEIVER_HINTS.get(write.receiver, "")
-        for cls in candidates:
-            if cls.name == hinted or cls.name.lower() == write.receiver:
-                return (cls,)
-        return candidates
 
 
 # ---------------------------------------------------------------------------

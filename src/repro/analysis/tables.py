@@ -6,7 +6,7 @@ reports it; these helpers keep that formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Sequence, Union
 
 Number = Union[int, float]
 

@@ -9,7 +9,7 @@ packet generator variant used by Figure 8 also lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams

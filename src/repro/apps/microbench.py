@@ -13,7 +13,7 @@ the pointer-chasing kernels of §3.5 and §6.1.  Register conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError

@@ -397,9 +397,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_faultsweep(args) -> int:
     from repro.common.errors import ConfigError, InvariantViolation
     from repro.faults import FAULT_KINDS, run_fault_matrix
-    from repro.faults.plan import CYCLE_TIER_KINDS
 
-    kinds = args.kinds.split(",") if args.kinds else list(CYCLE_TIER_KINDS)
+    kinds = args.kinds.split(",") if args.kinds else list(FAULT_KINDS)
     unknown = [k for k in kinds if k not in FAULT_KINDS]
     if unknown:
         print(

@@ -1,12 +1,11 @@
-"""Compiler support: a small IR and the preemption instrumentation passes.
+"""Compiler support: the preemption instrumentation hooks of Figure 5.
 
 The paper's Figure 5 compares three preemption mechanisms on instrumented
 programs: Concord-style *polling* instrumentation (a check at every function
 entry and loop back-edge), xUI *hardware safepoints* (a safepoint prefix at
 the same sites, §4.4), and plain UIPI (no instrumentation).  This package
-provides those passes, both as :class:`Instrumenter` hooks consumed by the
-µ-ISA benchmark builders and as IR-to-IR transformations over
-:mod:`repro.compiler.ir`.
+provides them as :class:`Instrumenter` hooks consumed by the µ-ISA benchmark
+builders.
 """
 
 from repro.compiler.instrument import (
@@ -15,27 +14,10 @@ from repro.compiler.instrument import (
     PollingInstrumenter,
     SafepointInstrumenter,
 )
-from repro.compiler.ir import (
-    Function,
-    Module,
-    Block,
-    Loop,
-    RawOp,
-    lower_module,
-)
-from repro.compiler.passes import insert_polling_checks, insert_safepoints
 
 __all__ = [
     "Instrumenter",
     "NullInstrumenter",
     "PollingInstrumenter",
     "SafepointInstrumenter",
-    "Function",
-    "Module",
-    "Block",
-    "Loop",
-    "RawOp",
-    "lower_module",
-    "insert_polling_checks",
-    "insert_safepoints",
 ]

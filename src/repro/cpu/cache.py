@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import SimulationError
 from repro.cpu.config import CacheParams, MemoryParams
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.common.counters import GLOBAL_COUNTERS, fast_engine_enabled
-from repro.common.errors import ConfigError, ProtocolError, SimulationError
+from repro.common.errors import ProtocolError, SimulationError
 from repro.cpu.backend import (
     ST_DONE,
     ST_EXECUTING,

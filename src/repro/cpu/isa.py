@@ -13,7 +13,7 @@ Registers are ``r0``-``r15``; by convention ``r15`` is the stack pointer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum, auto
 from typing import Optional, Union
 

@@ -12,11 +12,11 @@ delivery microcode transfers control there and the handler returns with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.cpu import isa
-from repro.cpu.isa import Instruction, Op
+from repro.cpu.isa import Instruction
 
 #: Byte address of instruction index 0 (arbitrary; shared by all programs).
 CODE_BASE = 0x40_0000

@@ -78,25 +78,6 @@ class KBTimerState:
             return None
         return -int(-self.deadline // 1)  # ceil for float deadlines
 
-    def save(self) -> "KBTimerState":
-        """Snapshot for context switch (kernel reads kb_timer_state_MSR)."""
-        return KBTimerState(
-            enabled=self.enabled,
-            vector=self.vector,
-            armed=self.armed,
-            periodic=self.periodic,
-            deadline=self.deadline,
-            period=self.period,
-        )
-
-    def restore(self, saved: "KBTimerState") -> None:
-        self.enabled = saved.enabled
-        self.vector = saved.vector
-        self.armed = saved.armed
-        self.periodic = saved.periodic
-        self.deadline = saved.deadline
-        self.period = saved.period
-
 
 @dataclass(slots=True)
 class UserInterruptFile:

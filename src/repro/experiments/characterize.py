@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 from repro.common.errors import SimulationError
 from repro.apps import microbench as mb
 from repro.cpu import isa
-from repro.cpu.config import SystemConfig
 from repro.cpu.delivery import DrainStrategy, FlushStrategy, TrackedStrategy
 from repro.cpu.multicore import MultiCoreSystem
 from repro.cpu.program import ProgramBuilder

@@ -13,8 +13,6 @@ from typing import Dict, Optional
 
 from repro.apps import microbench as mb
 from repro.cpu import isa
-from repro.cpu.delivery import FlushStrategy
-from repro.cpu.multicore import MultiCoreSystem
 from repro.cpu.program import ProgramBuilder
 from repro.experiments import cycletier
 from repro.experiments.characterize import measure_interrupt_costs

@@ -4,9 +4,8 @@ Public surface:
 
 - :class:`~repro.faults.plan.Fault` / :class:`~repro.faults.plan.FaultPlan`
   — seedable, byte-stable fault schedules.
-- :class:`~repro.faults.injector.FaultInjector` (cycle tier) and
-  :class:`~repro.faults.injector.EventFaultInjector` (event/kernel tier)
-  — apply a plan to a running system.
+- :class:`~repro.faults.injector.FaultInjector` — applies a plan to a
+  running cycle-tier system.
 - :class:`~repro.faults.invariants.InvariantChecker` — read-only probes
   plus an end-of-run delivery-conservation audit; violations raise
   :class:`~repro.common.errors.InvariantViolation` carrying the plan dump.
@@ -16,15 +15,9 @@ Public surface:
 """
 
 from repro.common.errors import InvariantViolation
-from repro.faults.injector import (
-    EventFaultInjector,
-    EventTierTargets,
-    FaultInjector,
-    InjectionCounters,
-)
+from repro.faults.injector import FaultInjector, InjectionCounters
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import (
-    CYCLE_TIER_KINDS,
     FAULT_KINDS,
     Fault,
     FaultPlan,
@@ -34,10 +27,7 @@ from repro.faults.plan import (
 from repro.faults.harness import run_fault_cell, run_fault_matrix
 
 __all__ = [
-    "CYCLE_TIER_KINDS",
     "FAULT_KINDS",
-    "EventFaultInjector",
-    "EventTierTargets",
     "Fault",
     "FaultInjector",
     "FaultPlan",

@@ -1,38 +1,30 @@
-"""Fault injectors: apply a :class:`~repro.faults.plan.FaultPlan` to a tier.
+"""Fault injector: apply a :class:`~repro.faults.plan.FaultPlan` to the
+cycle tier (:class:`~repro.cpu.multicore.MultiCoreSystem`).
 
-Two injectors share the plan format:
-
-- :class:`FaultInjector` drives the cycle tier
-  (:class:`~repro.cpu.multicore.MultiCoreSystem`).  Message faults hook the
-  per-core APIC's ``fault_interceptor``; scheduled faults go through the
-  system timeline, **never** by mutating core state directly — both the
-  naive and cycle-skipping engines process timeline events identically (the
-  fast engine invalidates every core's quiescence horizon after any
-  timeline event), which is what keeps fault runs byte-identical across
-  engines.  The macro-op trace tier (``repro.cpu.macroop``) takes the same
-  stance one level up: an installed ``fault_interceptor`` blocks macro
-  formation outright, and the timeline (where scheduled faults live) is a
-  hard replay horizon — replay can never jump over an injection cycle.
-- :class:`EventFaultInjector` drives the event/kernel tier: the same
-  message faults on a bare :class:`~repro.uintr.apic.LocalApic`, plus
-  ``timer_drift`` on kernel timers and ``ctx_switch`` on a
-  :class:`~repro.kernel.scheduler.CoreScheduler`.
+Message faults hook the per-core APIC's ``fault_interceptor``; scheduled
+faults go through the system timeline, **never** by mutating core state
+directly — both the naive and cycle-skipping engines process timeline
+events identically (the fast engine invalidates every core's quiescence
+horizon after any timeline event), which is what keeps fault runs
+byte-identical across engines.  The macro-op trace tier
+(``repro.cpu.macroop``) takes the same stance one level up: an installed
+``fault_interceptor`` blocks macro formation outright, and the timeline
+(where scheduled faults live) is a hard replay horizon — replay can never
+jump over an injection cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro import obs as _obs
 from repro.common.errors import ConfigError, SimulationError
-from repro.faults.plan import CYCLE_TIER_KINDS, Fault, FaultPlan, MESSAGE_KINDS
-from repro.uintr.apic import InterruptKind, LocalApic
+from repro.faults.plan import Fault, FaultPlan, MESSAGE_KINDS
+from repro.uintr.apic import InterruptKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.multicore import MultiCoreSystem
-    from repro.kernel.scheduler import CoreScheduler
-    from repro.sim.simulator import Simulator
 
 
 @dataclass
@@ -49,7 +41,6 @@ class InjectionCounters:
     timer_drifts: int = 0
     timer_drift_misses: int = 0
     misspec_storms: int = 0
-    forced_preemptions: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -101,12 +92,6 @@ class FaultInjector:
         ncores = len(system.cores)
         by_core_msgs: Dict[int, List[Fault]] = {}
         for fault in self.plan.faults:
-            if fault.kind not in CYCLE_TIER_KINDS:
-                raise ConfigError(
-                    f"fault kind {fault.kind!r} is not supported in the cycle "
-                    f"tier (use EventFaultInjector); cycle-tier kinds: "
-                    f"{CYCLE_TIER_KINDS}"
-                )
             if fault.core >= ncores:
                 raise ConfigError(
                     f"fault targets core {fault.core} but the system has {ncores}"
@@ -211,140 +196,6 @@ class FaultInjector:
                 btb._tags = [None] * len(btb._tags)
 
             system.schedule(delay, storm)
-        else:  # pragma: no cover - guarded in install()
+        else:  # pragma: no cover - Fault rejects unknown kinds
             raise ConfigError(f"unschedulable fault kind {fault.kind!r}")
 
-
-@dataclass
-class EventTierTargets:
-    """What the event/kernel-tier injector can act on.  Any field may stay
-    None — faults needing an absent target raise ConfigError at install."""
-
-    sim: "Simulator" = None
-    apic: Optional[LocalApic] = None
-    scheduler: Optional["CoreScheduler"] = None
-    #: Objects exposing ``delay_next_fire(extra)`` (kernel/KB timers).
-    timers: List[object] = field(default_factory=list)
-
-
-class EventFaultInjector:
-    """Applies a plan in the event tier (kernel model + calendar queue).
-
-    ``at`` is event-tier time; core indices select a timer from
-    ``targets.timers`` for ``timer_drift`` and are otherwise ignored
-    (the event tier models one APIC/scheduler per injector).
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self.counters = InjectionCounters()
-        self._installed = False
-
-    def install(self, targets: EventTierTargets) -> "EventFaultInjector":
-        if self._installed:
-            raise SimulationError("EventFaultInjector.install called twice")
-        self._installed = True
-        sim = targets.sim
-        if sim is None:
-            raise ConfigError("EventTierTargets.sim is required")
-        msg_faults: List[Fault] = []
-        for fault in self.plan.faults:
-            if fault.kind in MESSAGE_KINDS:
-                if targets.apic is None:
-                    raise ConfigError(f"{fault.kind} needs an APIC target")
-                msg_faults.append(fault)
-            elif fault.kind == "ctx_switch":
-                if targets.scheduler is None:
-                    raise ConfigError("ctx_switch needs a scheduler target")
-                self._schedule_preempt(sim, targets.scheduler, fault)
-            elif fault.kind == "timer_drift":
-                if not targets.timers:
-                    raise ConfigError("timer_drift needs at least one timer target")
-                self._schedule_drift(sim, targets.timers, fault)
-            elif fault.kind == "spurious_uintr":
-                if targets.apic is None:
-                    raise ConfigError("spurious_uintr needs an APIC target")
-                self._schedule_spurious(sim, targets.apic, fault)
-            else:
-                raise ConfigError(
-                    f"fault kind {fault.kind!r} has no event-tier model "
-                    f"(use the cycle-tier FaultInjector)"
-                )
-        if msg_faults:
-            self._install_interceptor(sim, targets.apic, msg_faults)
-        return self
-
-    def _install_interceptor(
-        self, sim: "Simulator", apic: LocalApic, faults: List[Fault]
-    ) -> None:
-        if apic.fault_interceptor is not None:
-            raise ConfigError("APIC already has a fault interceptor")
-        table = _MessageFaultTable(faults)
-        counters = self.counters
-
-        def interceptor(
-            vector: int, time: float, kind: Optional[InterruptKind]
-        ) -> Optional[str]:
-            table.seen += 1
-            fault = table.actions.get(table.seen)
-            if fault is None:
-                return None
-            if fault.kind == "drop_send":
-                counters.dropped += 1
-                _mark_fault(time, "drop_send", vector=vector)
-                return "drop"
-            if fault.kind == "dup_send":
-                counters.duplicated += 1
-                _mark_fault(time, "dup_send", vector=vector)
-                return "duplicate"
-            counters.delayed += 1
-            _mark_fault(time, "delay_send", vector=vector, delay=fault.delay)
-
-            def redeliver() -> None:
-                counters.redelivered += 1
-                _mark_fault(sim.now, "redeliver", vector=vector)
-                apic.accept_now(vector, sim.now, kind)
-
-            sim.schedule(fault.delay, redeliver, name="fault_redeliver")
-            return "defer"
-
-        apic.fault_interceptor = interceptor
-
-    def _schedule_preempt(
-        self, sim: "Simulator", scheduler: "CoreScheduler", fault: Fault
-    ) -> None:
-        counters = self.counters
-
-        def preempt() -> None:
-            counters.forced_preemptions += 1
-            _mark_fault(sim.now, "ctx_switch", core=fault.core)
-            scheduler.fault_preempt(sim.now)
-
-        sim.schedule_at(max(sim.now, fault.at), preempt, name="fault_preempt")
-
-    def _schedule_drift(
-        self, sim: "Simulator", timers: List[object], fault: Fault
-    ) -> None:
-        timer = timers[fault.core % len(timers)]
-        counters = self.counters
-
-        def drift() -> None:
-            if timer.delay_next_fire(fault.delay):
-                counters.timer_drifts += 1
-            else:
-                counters.timer_drift_misses += 1
-
-        sim.schedule_at(max(sim.now, fault.at), drift, name="fault_drift")
-
-    def _schedule_spurious(
-        self, sim: "Simulator", apic: LocalApic, fault: Fault
-    ) -> None:
-        counters = self.counters
-
-        def spurious() -> None:
-            counters.spurious += 1
-            apic.accept_now(
-                apic.uipi_notification_vector, sim.now, InterruptKind.UIPI
-            )
-
-        sim.schedule_at(max(sim.now, fault.at), spurious, name="fault_spurious")

@@ -34,9 +34,6 @@ Fault kinds
     At cycle ``at``, ``core``'s branch predictor state is scrambled
     (gshare counters inverted, BTB invalidated), forcing a burst of
     mispredictions — stresses tracked-delivery re-injection (§4.2).
-``ctx_switch``
-    At time ``at``, the kernel forcibly preempts the thread on ``core``
-    (event/kernel tier only — the cycle tier models one thread per core).
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from typing import Iterable, Sequence, Tuple
 from repro.common.codec import JsonCodec, require_int
 from repro.common.errors import ConfigError
 
-#: Every fault kind the injectors understand, in canonical order.
+#: Every fault kind the injector understands, in canonical order.
 FAULT_KINDS: Tuple[str, ...] = (
     "drop_send",
     "dup_send",
@@ -58,16 +55,10 @@ FAULT_KINDS: Tuple[str, ...] = (
     "spurious_uintr",
     "timer_drift",
     "misspec_storm",
-    "ctx_switch",
 )
 
 #: Kinds that target a message by accept-index rather than a cycle.
 MESSAGE_KINDS: Tuple[str, ...] = ("drop_send", "dup_send", "delay_send")
-
-#: Kinds the cycle-tier injector can apply (ctx_switch is kernel-tier only).
-CYCLE_TIER_KINDS: Tuple[str, ...] = tuple(
-    k for k in FAULT_KINDS if k != "ctx_switch"
-)
 
 #: Upper bound for cycle-valued fields (``at``/``index``/``delay``) in
 #: deserialized plans.  Far past any reachable simulation horizon, but it
@@ -146,7 +137,7 @@ class FaultPlan(JsonCodec):
         cores: int = 1,
         horizon: int = 100_000,
         count: int = 8,
-        kinds: Sequence[str] = CYCLE_TIER_KINDS,
+        kinds: Sequence[str] = FAULT_KINDS,
         max_index: int = 32,
         max_delay: int = 2_000,
     ) -> "FaultPlan":
@@ -184,9 +175,7 @@ class FaultPlan(JsonCodec):
                     kind=kind,
                     core=core,
                     at=rng.randrange(1, horizon),
-                    delay=rng.randint(1, max_delay)
-                    if kind in ("timer_drift", "ctx_switch")
-                    else 0,
+                    delay=rng.randint(1, max_delay) if kind == "timer_drift" else 0,
                 )
             faults.append(fault)
         faults.sort(key=lambda f: (f.at, f.index, f.kind, f.core))
@@ -228,7 +217,7 @@ def plan_for_kind(
                     kind=kind,
                     core=core,
                     at=at,
-                    delay=500 + 250 * i if kind in ("timer_drift", "ctx_switch") else 0,
+                    delay=500 + 250 * i if kind == "timer_drift" else 0,
                 )
             )
     return FaultPlan(seed=seed, faults=tuple(faults))

@@ -1,24 +1,14 @@
-"""The OS model (event tier): threads, scheduling, signals, timers, syscalls.
+"""The OS timer interfaces of the event tier (§2, Figure 6).
 
-The experiments exercise the kernel through a narrow interface — context
-switches with their UIPI/xUI state management (SN bit, KB-timer save/restore,
-``forwarded_active``), signal delivery costs, the ``setitimer``/``nanosleep``
-timer interfaces, and the §3.2/§4.3/§4.5 registration syscalls — so that is
-what this package models, with costs from :class:`repro.notify.CostModel`.
+Figure 6 compares a dedicated timer core against per-thread OS timers:
+``setitimer`` (a signal per tick) and a ``nanosleep`` loop (block and wake
+per tick).  This package models those two timers, with costs from
+:class:`repro.notify.CostModel`.
 """
 
-from repro.kernel.threads import KernelThread, ThreadState
-from repro.kernel.scheduler import CoreScheduler
-from repro.kernel.signals import SignalDelivery
 from repro.kernel.timers import OSIntervalTimer, NanosleepTimer
-from repro.kernel.syscalls import KernelInterface
 
 __all__ = [
-    "KernelThread",
-    "ThreadState",
-    "CoreScheduler",
-    "SignalDelivery",
     "OSIntervalTimer",
     "NanosleepTimer",
-    "KernelInterface",
 ]

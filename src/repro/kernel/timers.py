@@ -49,8 +49,6 @@ class _PeriodicTimer:
         self.callback = callback
         self.per_event_cost = per_event_cost
         self.fires = 0
-        #: Ticks postponed by :meth:`delay_next_fire` (fault injection).
-        self.fault_delays = 0
         self._armed = False
         self._next_event: Optional[Event] = None
 
@@ -68,22 +66,6 @@ class _PeriodicTimer:
 
     def _schedule_next(self) -> None:
         self._next_event = self.sim.schedule(self.period, self._fire, name="os_timer")
-
-    def delay_next_fire(self, extra: float) -> bool:
-        """Fault injection: push the next scheduled tick ``extra`` later.
-
-        Models a late-firing OS timer (interrupt coalescing, a busy kernel).
-        Only the next tick drifts — the following reschedule is relative to
-        the drifted fire time, so the lateness propagates naturally, exactly
-        as a real periodic rearm-on-fire timer behaves.  Returns False when
-        no tick was armed to delay.
-        """
-        postponed = self.sim.postpone(self._next_event, extra)
-        if postponed is None:
-            return False
-        self._next_event = postponed
-        self.fault_delays += 1
-        return True
 
     def _fire(self) -> None:
         if not self._armed:
@@ -140,68 +122,3 @@ class NanosleepTimer(_PeriodicTimer):
             per_event_cost=costs.nanosleep_event,
             min_period=costs.os_timer_min_period,
         )
-
-
-class KBTimer:
-    """The xUI kernel-bypass timer in the event tier (§4.3).
-
-    Directly user-programmable, per-core, fires as a tracked user interrupt
-    costing ``timer_receive_tracked`` cycles on the receiving core — no
-    timer thread, no kernel transitions.
-    """
-
-    category = "kb_timer"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        account: CycleAccount,
-        period: float,
-        callback: Callable[[], None],
-        costs: Optional[CostModel] = None,
-    ) -> None:
-        if period <= 0:
-            raise ConfigError(f"timer period must be positive, got {period}")
-        self.sim = sim
-        self.account = account
-        self.period = period
-        self.callback = callback
-        self.costs = costs or CostModel.paper_defaults()
-        self.fires = 0
-        #: Ticks postponed by :meth:`delay_next_fire` (fault injection).
-        self.fault_delays = 0
-        self._armed = False
-        self._next_event: Optional[Event] = None
-
-    def start(self) -> None:
-        if self._armed:
-            return
-        self._armed = True
-        self._next_event = self.sim.schedule(self.period, self._fire, name="kb_timer")
-
-    def delay_next_fire(self, extra: float) -> bool:
-        """Fault injection: push the next tick ``extra`` later (drift).
-
-        Even the kernel-bypass timer can fire late in hardware (clock
-        domain crossings, power states); this models that.  Returns False
-        when no tick was armed."""
-        postponed = self.sim.postpone(self._next_event, extra)
-        if postponed is None:
-            return False
-        self._next_event = postponed
-        self.fault_delays += 1
-        return True
-
-    def stop(self) -> None:
-        self._armed = False
-        if self._next_event is not None:
-            self._next_event.cancel()
-            self._next_event = None
-
-    def _fire(self) -> None:
-        if not self._armed:
-            return
-        self.fires += 1
-        self.account.charge(self.category, self.costs.timer_receive_tracked)
-        self._next_event = self.sim.schedule(self.period, self._fire, name="kb_timer")
-        self.callback()

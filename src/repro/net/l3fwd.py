@@ -18,7 +18,7 @@ calibrated constant covering RX descriptor handling, the LPM lookup, and TX.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import ConfigError, SimulationError

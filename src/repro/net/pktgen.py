@@ -8,7 +8,7 @@ configured NICs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams

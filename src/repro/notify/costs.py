@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigError
-from repro.common.units import us_to_cycles
 
 
 @dataclass(frozen=True)

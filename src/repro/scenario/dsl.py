@@ -35,7 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.codec import JsonCodec, decode, require_int
 from repro.common.errors import ConfigError
-from repro.faults.plan import CYCLE_TIER_KINDS, FAULT_KINDS, MESSAGE_KINDS, Fault
+from repro.faults.plan import FAULT_KINDS, MESSAGE_KINDS, Fault
 
 #: Delivery strategies a workload core may be assigned.
 STRATEGY_NAMES: Tuple[str, ...] = ("flush", "drain", "tracked")
@@ -271,7 +271,7 @@ class FaultSpec(JsonCodec):
 
     seed: int = 0
     count: int = 0
-    kinds: Tuple[str, ...] = CYCLE_TIER_KINDS
+    kinds: Tuple[str, ...] = FAULT_KINDS
     horizon: int = 50_000
     max_index: int = 16
     max_delay: int = 1_000

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
-from repro.faults.plan import CYCLE_TIER_KINDS, MESSAGE_KINDS, FaultPlan
+from repro.faults.plan import FAULT_KINDS, MESSAGE_KINDS, FaultPlan
 from repro.scenario.dsl import (
     ENGINE_LEG_NAMES,
     MEMORY_WORKLOAD_KINDS,
@@ -199,7 +199,7 @@ class ScenarioGenerator:
             # scenarios or they are dead weight in every draw.
             horizon=12_000,
             count=count,
-            kinds=CYCLE_TIER_KINDS,
+            kinds=FAULT_KINDS,
             max_index=8,
             max_delay=500,
         )

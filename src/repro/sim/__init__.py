@@ -1,24 +1,19 @@
 """Discrete-event simulation kernel (the event tier's substrate).
 
-The end-to-end experiments (Figures 6-9) run on this kernel: a classic
-calendar of timestamped events plus generator-based processes for modeling
-threads, NICs, accelerators, and timers.  Timestamps are in *cycles* of the
-paper's 2 GHz clock unless a component says otherwise.
+The end-to-end experiments (Figures 6-9) run on this kernel: a calendar of
+timestamped events whose callbacks model threads, NICs, accelerators and
+timers.  Timestamps are in *cycles* of the paper's 2 GHz clock unless a
+component says otherwise.
 """
 
 from repro.sim.event import Event, EventQueue
 from repro.sim.simulator import Simulator
-from repro.sim.process import Process, Timeout, Waiter, Signal
 from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "Process",
-    "Timeout",
-    "Waiter",
-    "Signal",
     "TraceRecorder",
     "TraceEvent",
 ]

@@ -68,22 +68,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule event {name!r} with negative delay {delay}")
         return self._queue.push(self._now + delay, callback, name)
 
-    def postpone(self, event: Optional[Event], extra: float) -> Optional[Event]:
-        """Cancel ``event`` and reschedule its callback ``extra`` later.
-
-        The fault-injection primitive for late-firing timers (timer drift):
-        the original event is cancelled in place and a fresh one carries the
-        same callback at ``max(now, time + extra)``.  Returns the new event,
-        or None when ``event`` is None or already cancelled (nothing to
-        postpone — e.g. the timer fired or was stopped first).
-        """
-        if extra != extra or extra < 0:
-            raise SimulationError(f"cannot postpone an event by {extra}")
-        if event is None or event.cancelled:
-            return None
-        event.cancel()
-        return self.schedule_at(max(self._now, event.time + extra), event.callback, event.name)
-
     def pending(self) -> int:
         """Number of live events waiting in the calendar."""
         return len(self._queue)

@@ -1,14 +1,13 @@
-"""Intel UIPI architectural model (§3): UPID, UITT, local APIC, routing.
+"""Intel UIPI architectural model (§3): UPID, UITT, local APIC.
 
-These structures are shared by both simulation tiers: the cycle tier reads
-and writes UPIDs through its cache hierarchy (so the coherence costs of §3.3
-appear), while the event tier manipulates them directly with calibrated
-costs.
+The cycle tier reads and writes UPIDs through its cache hierarchy (so the
+coherence costs of §3.3 appear), and each simulated core owns a
+:class:`LocalApic` that classifies, forwards and queues its interrupts.
 """
 
 from repro.uintr.upid import UPID, UPID_BYTES
 from repro.uintr.uitt import UITTEntry, UITT, UITT_ENTRY_BYTES
-from repro.uintr.apic import LocalApic, ApicBus, PendingInterrupt, InterruptKind
+from repro.uintr.apic import LocalApic, PendingInterrupt, InterruptKind
 
 __all__ = [
     "UPID",
@@ -17,7 +16,6 @@ __all__ = [
     "UITT",
     "UITT_ENTRY_BYTES",
     "LocalApic",
-    "ApicBus",
     "PendingInterrupt",
     "InterruptKind",
 ]

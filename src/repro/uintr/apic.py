@@ -1,4 +1,4 @@
-"""Local APIC and the inter-APIC bus (§3.3 steps 2-3, §4.5 extensions).
+"""Local APIC (§3.3 steps 2-3) with the xUI forwarding extension (§4.5).
 
 The :class:`LocalApic` accepts interrupt messages (conventional vectors) and
 queues them as :class:`PendingInterrupt` records for the core.  The xUI
@@ -8,18 +8,14 @@ whose ``forwarding_enabled`` bit is set becomes a *user* interrupt — on the
 fast path (bit also set in ``forwarded_active``) it is delivered directly to
 the running thread; otherwise the APIC reports a slow-path interrupt for the
 kernel to post into the DUPID.
-
-The :class:`ApicBus` moves IPI messages between APICs with a configurable
-wire latency, using whatever scheduler the owning tier provides (global
-cycle counter for the cycle tier, event calendar for the event tier).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro import obs as _obs
 from repro.common import bitfield
@@ -62,7 +58,6 @@ class LocalApic:
         "forward_user_vector",
         "slow_path_queue",
         "kernel_queue",
-        "_extended_channels",
         "accepted",
         "forwarded_fast",
         "forwarded_slow",
@@ -85,8 +80,6 @@ class LocalApic:
         self.slow_path_queue: Deque[PendingInterrupt] = deque()
         #: Conventional (non-user) interrupts, handled by the kernel.
         self.kernel_queue: Deque[PendingInterrupt] = deque()
-        #: Extended-format channels: (vector, subchannel) -> user vector.
-        self._extended_channels: Dict[tuple, int] = {}
         self.accepted = 0
         self.forwarded_fast = 0
         self.forwarded_slow = 0
@@ -109,50 +102,6 @@ class LocalApic:
             raise ConfigError(f"vector must be 8 bits, got {vector}")
         self.forwarding_enabled = bitfield.set_bit(self.forwarding_enabled, vector)
         self.forward_user_vector[vector] = user_vector
-
-    # -- extended message format (§4.5 future work) --------------------------
-    def enable_extended_forwarding(
-        self, vector: int, subchannel: int, user_vector: int
-    ) -> None:
-        """Forwarding beyond the 8-bit vector space.
-
-        §4.5 notes the base scheme "is constrained by the limited vector
-        space of the underlying core" and suggests "adding a new field to
-        the message format, or repurposing unused bits (e.g. the
-        clusterID)".  This models that extension: a device interrupt may
-        carry a *subchannel* (the repurposed clusterID bits), so one
-        conventional vector multiplexes many device/user pairs.
-        """
-        if not 0 <= vector < 256:
-            raise ConfigError(f"vector must be 8 bits, got {vector}")
-        if not 0 <= subchannel < (1 << 16):
-            raise ConfigError(f"subchannel must fit the repurposed 16 bits, got {subchannel}")
-        self.forwarding_enabled = bitfield.set_bit(self.forwarding_enabled, vector)
-        self._extended_channels[(vector, subchannel)] = user_vector
-
-    def accept_extended(self, vector: int, subchannel: int, time: float) -> None:
-        """Accept a device message carrying the extended channel field."""
-        self.accepted += 1
-        user_vector = self._extended_channels.get((vector, subchannel))
-        if user_vector is None:
-            self.kernel_queue.append(
-                PendingInterrupt(vector, InterruptKind.KERNEL, time)
-            )
-            return
-        if bitfield.test_bit(self.forwarded_active, vector):
-            self.forwarded_fast += 1
-            self._queue_user(
-                PendingInterrupt(vector, InterruptKind.DEVICE, time, user_vector=user_vector)
-            )
-        else:
-            self.forwarded_slow += 1
-            self.slow_path_queue.append(
-                PendingInterrupt(vector, InterruptKind.DEVICE, time, user_vector=user_vector)
-            )
-
-    @property
-    def extended_channel_count(self) -> int:
-        return len(self._extended_channels)
 
     def disable_forwarding(self, vector: int) -> None:
         self.forwarding_enabled = bitfield.clear_bit(self.forwarding_enabled, vector)
@@ -256,55 +205,3 @@ class LocalApic:
             raise SimulationError("no pending interrupt to take")
         return self._pending.popleft()
 
-
-class ApicBus:
-    """Delivers IPI messages between local APICs after a wire latency.
-
-    ``scheduler(delay, callback)`` is supplied by the owning tier.
-    """
-
-    def __init__(
-        self,
-        scheduler: Callable[[float, Callable[[], None]], object],
-        wire_latency: float,
-        clock: Callable[[], float],
-    ) -> None:
-        if wire_latency < 0:
-            raise ConfigError("wire latency must be non-negative")
-        self._scheduler = scheduler
-        self._clock = clock
-        self.wire_latency = wire_latency
-        self._apics: Dict[int, LocalApic] = {}
-        self.messages_sent = 0
-
-    def attach(self, apic: LocalApic) -> None:
-        if apic.apic_id in self._apics:
-            raise ConfigError(f"APIC id {apic.apic_id} already attached")
-        self._apics[apic.apic_id] = apic
-
-    def apic(self, apic_id: int) -> LocalApic:
-        return self._apics[apic_id]
-
-    def send_ipi(self, dest_apic_id: int, vector: int) -> None:
-        """Send an IPI; it arrives ``wire_latency`` later."""
-        if dest_apic_id not in self._apics:
-            raise SimulationError(f"IPI to unknown APIC id {dest_apic_id}")
-        self.messages_sent += 1
-        apic = self._apics[dest_apic_id]
-
-        def deliver() -> None:
-            apic.accept(vector, self._clock(), kind=InterruptKind.UIPI if vector == apic.uipi_notification_vector else None)
-
-        self._scheduler(self.wire_latency, deliver)
-
-    def send_device_interrupt(self, dest_apic_id: int, vector: int, delay: float = 0.0) -> None:
-        """A device (NIC, accelerator) raises ``vector`` at the destination core."""
-        if dest_apic_id not in self._apics:
-            raise SimulationError(f"device interrupt to unknown APIC id {dest_apic_id}")
-        self.messages_sent += 1
-        apic = self._apics[dest_apic_id]
-
-        def deliver() -> None:
-            apic.accept(vector, self._clock(), kind=InterruptKind.DEVICE)
-
-        self._scheduler(self.wire_latency + delay, deliver)

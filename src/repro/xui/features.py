@@ -1,62 +1,22 @@
-"""Convenience wrappers for enabling xUI features on cycle-tier systems.
+"""The safepoint-mode switch (§4.4) for cycle-tier cores.
 
-These mirror what the paper's modified kernel/runtime would do through
-system calls and the new instructions, for callers who configure a
-:class:`repro.cpu.multicore.MultiCoreSystem` directly.
+Mirrors what the paper's modified runtime does through the safepoint-mode
+MSR, with the check that the core delivers through tracked interrupts.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigError, ProtocolError
+from repro.common.errors import ConfigError
 from repro.cpu.core import Core
 from repro.cpu.delivery import TrackedStrategy
-from repro.cpu.multicore import MultiCoreSystem
-
-
-def _require_tracking(core: Core, feature: str) -> None:
-    if not isinstance(core.strategy, TrackedStrategy):
-        raise ConfigError(
-            f"{feature} requires the tracked-interrupt strategy on core "
-            f"{core.core_id} (got {core.strategy.name!r})"
-        )
 
 
 def enable_safepoint_mode(core: Core) -> None:
     """Turn on safepoint mode (§4.4): interrupts are delivered only at
     safepoint-prefixed instructions.  Requires tracking."""
-    _require_tracking(core, "safepoint mode")
+    if not isinstance(core.strategy, TrackedStrategy):
+        raise ConfigError(
+            "safepoint mode requires the tracked-interrupt strategy on core "
+            f"{core.core_id} (got {core.strategy.name!r})"
+        )
     core.uintr.safepoint_mode = True
-
-
-def disable_safepoint_mode(core: Core) -> None:
-    core.uintr.safepoint_mode = False
-
-
-def arm_periodic_timer(system: MultiCoreSystem, core_id: int, period_cycles: int, vector: int = 2) -> None:
-    """Kernel-enable and user-arm the KB timer on ``core_id`` (§4.3).
-
-    Equivalent to ``enable_kb_timer()`` (syscall) followed by the user-level
-    ``set_timer(period, periodic)`` instruction.
-    """
-    if period_cycles <= 0:
-        raise ConfigError("period must be positive")
-    system.enable_kb_timer(core_id, vector=vector)
-    core = system.cores[core_id]
-    core.uintr.kb_timer.arm_periodic(period_cycles, now=core.cycle)
-
-
-def arm_oneshot_timer(system: MultiCoreSystem, core_id: int, deadline_cycle: int, vector: int = 2) -> None:
-    """Kernel-enable and arm a one-shot KB timer deadline (§4.3)."""
-    system.enable_kb_timer(core_id, vector=vector)
-    core = system.cores[core_id]
-    if deadline_cycle <= core.cycle:
-        raise ProtocolError("one-shot deadline is already in the past")
-    core.uintr.kb_timer.arm_oneshot(deadline_cycle)
-
-
-def setup_device_forwarding(
-    system: MultiCoreSystem, core_id: int, vector: int, user_vector: int = 3
-) -> None:
-    """Route device interrupts on ``vector`` to the thread on ``core_id``
-    (§4.5), with the thread running (fast path active)."""
-    system.enable_forwarding(core_id, vector=vector, user_vector=user_vector)

@@ -177,6 +177,24 @@ def test_real_tree_core_is_modeled():
     assert core.field("halted").mutable
 
 
+def test_every_write_grant_has_a_writer():
+    """A WRITE_GRANTS entry whose grantee no longer writes the field is a
+    stale permission: it would let a new write through unreviewed."""
+    from repro.analysis.rules.state import WRITE_GRANTS, _in_pkg
+
+    report = run_rules([default_scan_root()])
+    model = report.program.state_model
+    stale = []
+    for key, grantees in sorted(WRITE_GRANTS.items()):
+        class_name, field_name = key.split(".")
+        info = model.get(class_name).field(field_name)
+        writer_modules = {writer.rsplit(":", 1)[0] for writer in info.writers}
+        for grantee in grantees:
+            if not any(_in_pkg(module, grantee) for module in writer_modules):
+                stale.append((key, grantee))
+    assert stale == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -94,15 +94,6 @@ class TestTimerState:
         with pytest.raises(ConfigError):
             state.arm_periodic(0, now=0)
 
-    def test_save_restore_roundtrip(self):
-        state = KBTimerState(enabled=True, vector=5)
-        state.arm_periodic(1000, now=0)
-        saved = state.save()
-        state.disarm()
-        state.vector = 9
-        state.restore(saved)
-        assert state.armed and state.vector == 5 and state.period == 1000
-
     def test_periodic_no_burst_after_delay(self):
         """A delayed check advances past `now` without burst-firing."""
         state = KBTimerState(enabled=True)

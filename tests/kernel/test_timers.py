@@ -1,9 +1,9 @@
-"""OS timers vs. the KB timer on the event tier (§2, §4.3, Figure 6)."""
+"""The OS timers of the event tier (§2, Figure 6)."""
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.kernel.timers import KBTimer, NanosleepTimer, OSIntervalTimer
+from repro.kernel.timers import NanosleepTimer, OSIntervalTimer
 from repro.notify.costs import CostModel
 from repro.sim.account import CycleAccount
 from repro.sim.simulator import Simulator
@@ -20,13 +20,13 @@ def run_timer(timer_cls, period, duration=1_000_000.0):
 
 
 class TestPeriodicBehaviour:
-    @pytest.mark.parametrize("timer_cls", [OSIntervalTimer, NanosleepTimer, KBTimer])
+    @pytest.mark.parametrize("timer_cls", [OSIntervalTimer, NanosleepTimer])
     def test_fires_at_period(self, timer_cls):
         timer, _, fires = run_timer(timer_cls, period=10_000.0, duration=100_000.0)
         assert len(fires) == 10
         assert fires[0] == pytest.approx(10_000.0)
 
-    @pytest.mark.parametrize("timer_cls", [OSIntervalTimer, NanosleepTimer, KBTimer])
+    @pytest.mark.parametrize("timer_cls", [OSIntervalTimer, NanosleepTimer])
     def test_stop_cancels(self, timer_cls):
         sim = Simulator()
         account = CycleAccount()
@@ -38,7 +38,7 @@ class TestPeriodicBehaviour:
         sim.run(until=100_000.0)
         assert timer.fires == before
 
-    @pytest.mark.parametrize("timer_cls", [OSIntervalTimer, NanosleepTimer, KBTimer])
+    @pytest.mark.parametrize("timer_cls", [OSIntervalTimer, NanosleepTimer])
     def test_invalid_period_rejected(self, timer_cls):
         sim = Simulator()
         with pytest.raises(ConfigError):
@@ -46,7 +46,7 @@ class TestPeriodicBehaviour:
 
     def test_double_start_is_idempotent(self):
         sim = Simulator()
-        timer = KBTimer(sim, CycleAccount(), 10_000.0, lambda: None)
+        timer = OSIntervalTimer(sim, CycleAccount(), 10_000.0, lambda: None)
         timer.start()
         timer.start()
         sim.run(until=10_500.0)
@@ -64,11 +64,6 @@ class TestCosts:
         _, signal_account, _ = run_timer(OSIntervalTimer, 10_000.0, 100_000.0)
         assert sleep_account.total_busy() < signal_account.total_busy()
 
-    def test_kb_timer_is_two_orders_cheaper(self):
-        _, kb_account, _ = run_timer(KBTimer, 10_000.0, 100_000.0)
-        _, os_account, _ = run_timer(OSIntervalTimer, 10_000.0, 100_000.0)
-        assert kb_account.total_busy() * 20 < os_account.total_busy()
-
 
 class TestOsResolutionFloor:
     def test_period_clamped_to_os_minimum(self):
@@ -77,8 +72,3 @@ class TestOsResolutionFloor:
         timer = OSIntervalTimer(sim, CycleAccount(), period=100.0, callback=lambda: None)
         assert timer.period == CostModel().os_timer_min_period
         assert timer.requested_period == 100.0
-
-    def test_kb_timer_has_no_floor(self):
-        sim = Simulator()
-        timer = KBTimer(sim, CycleAccount(), period=100.0, callback=lambda: None)
-        assert timer.period == 100.0

@@ -173,6 +173,17 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             scenario(faults=faults)
 
+    def test_random_fault_kinds_must_be_injectable(self):
+        """A random spec may only draw kinds the cycle-tier injector
+        applies, so every spec that validates can also run."""
+        with pytest.raises(ConfigError, match="unknown fault kinds"):
+            FaultSpec(seed=1, count=2, kinds=("ctx_switch",))
+        with pytest.raises(ConfigError, match="unknown fault kinds"):
+            FaultSpec.loads(
+                '{"count":2,"horizon":50000,"kinds":["ctx_switch"],'
+                '"max_delay":1000,"max_index":16,"seed":1}'
+            )
+
     def test_unknown_engine_leg_rejected(self):
         with pytest.raises(ConfigError):
             scenario(engines=("naive", "warp"))

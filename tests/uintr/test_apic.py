@@ -1,10 +1,9 @@
-"""Local APIC and bus: classification, forwarding (§4.5), wire latency."""
+"""Local APIC: classification and forwarding (§4.5)."""
 
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.sim.simulator import Simulator
-from repro.uintr.apic import ApicBus, InterruptKind, LocalApic
+from repro.uintr.apic import InterruptKind, LocalApic
 
 
 class TestClassification:
@@ -80,96 +79,3 @@ class TestForwarding:
         apic.enable_forwarding(255, user_vector=1)
         assert apic.forwarding_enabled >> 255 == 1
 
-
-class TestExtendedMessageFormat:
-    """§4.5 future work: repurposed clusterID bits lift the vector limit."""
-
-    def test_many_channels_on_one_vector(self):
-        apic = LocalApic(0)
-        for sub in range(512):  # well past the 256-vector ceiling
-            apic.enable_extended_forwarding(40, subchannel=sub, user_vector=sub % 64)
-        assert apic.extended_channel_count == 512
-
-    def test_extended_fast_path(self):
-        apic = LocalApic(0)
-        apic.enable_extended_forwarding(40, subchannel=7, user_vector=3)
-        apic.set_active_vectors(apic.forwarding_enabled)
-        apic.accept_extended(40, subchannel=7, time=1.0)
-        pending = apic.take()
-        assert pending.kind is InterruptKind.DEVICE
-        assert pending.user_vector == 3
-
-    def test_extended_slow_path_when_inactive(self):
-        apic = LocalApic(0)
-        apic.enable_extended_forwarding(40, subchannel=7, user_vector=3)
-        apic.set_active_vectors(0)
-        apic.accept_extended(40, subchannel=7, time=1.0)
-        assert not apic.has_pending()
-        assert len(apic.slow_path_queue) == 1
-
-    def test_unmapped_subchannel_goes_to_kernel(self):
-        apic = LocalApic(0)
-        apic.enable_extended_forwarding(40, subchannel=1, user_vector=3)
-        apic.accept_extended(40, subchannel=2, time=1.0)
-        assert len(apic.kernel_queue) == 1
-
-    def test_subchannel_range_checked(self):
-        apic = LocalApic(0)
-        with pytest.raises(ConfigError):
-            apic.enable_extended_forwarding(40, subchannel=1 << 16, user_vector=1)
-
-    def test_channels_are_distinct(self):
-        apic = LocalApic(0)
-        apic.enable_extended_forwarding(40, 1, user_vector=5)
-        apic.enable_extended_forwarding(40, 2, user_vector=9)
-        apic.set_active_vectors(apic.forwarding_enabled)
-        apic.accept_extended(40, 2, time=0.0)
-        assert apic.take().user_vector == 9
-
-
-class TestBus:
-    def make_bus(self, wire=100.0):
-        sim = Simulator()
-        bus = ApicBus(
-            scheduler=lambda delay, cb: sim.schedule(delay, cb),
-            wire_latency=wire,
-            clock=lambda: sim.now,
-        )
-        return sim, bus
-
-    def test_ipi_arrives_after_wire_latency(self):
-        sim, bus = self.make_bus(wire=140.0)
-        apic = LocalApic(1)
-        bus.attach(apic)
-        bus.send_ipi(1, 0xEC)
-        sim.run()
-        assert apic.has_pending()
-        assert apic.peek().arrival_time == 140.0
-
-    def test_unknown_destination_rejected(self):
-        _, bus = self.make_bus()
-        with pytest.raises(SimulationError):
-            bus.send_ipi(9, 0xEC)
-
-    def test_duplicate_apic_id_rejected(self):
-        _, bus = self.make_bus()
-        bus.attach(LocalApic(0))
-        with pytest.raises(ConfigError):
-            bus.attach(LocalApic(0))
-
-    def test_device_interrupt_with_delay(self):
-        sim, bus = self.make_bus(wire=50.0)
-        apic = LocalApic(2)
-        apic.enable_forwarding(40, user_vector=1)
-        apic.set_active_vectors(apic.forwarding_enabled)
-        bus.attach(apic)
-        bus.send_device_interrupt(2, 40, delay=25.0)
-        sim.run()
-        assert apic.peek().arrival_time == 75.0
-
-    def test_message_count(self):
-        sim, bus = self.make_bus()
-        bus.attach(LocalApic(0))
-        bus.send_ipi(0, 0xEC)
-        bus.send_ipi(0, 0xEC)
-        assert bus.messages_sent == 2

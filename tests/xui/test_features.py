@@ -1,19 +1,14 @@
-"""xUI feature façade: safepoint mode, timer arming, forwarding setup."""
+"""xUI features on a cycle-tier system: safepoint mode, KB timer arming,
+device-interrupt forwarding."""
 
 import pytest
 
 from tests.conftest import COUNTER_ADDR, build_spin_receiver, build_count_to
 
-from repro.common.errors import ConfigError, ProtocolError
+from repro.common.errors import ConfigError
 from repro.cpu.delivery import FlushStrategy, TrackedStrategy
 from repro.cpu.multicore import MultiCoreSystem
-from repro.xui import (
-    arm_oneshot_timer,
-    arm_periodic_timer,
-    disable_safepoint_mode,
-    enable_safepoint_mode,
-    setup_device_forwarding,
-)
+from repro.xui import enable_safepoint_mode
 
 
 class TestSafepointMode:
@@ -27,39 +22,34 @@ class TestSafepointMode:
         core = system.cores[0]
         enable_safepoint_mode(core)
         assert core.uintr.safepoint_mode
-        disable_safepoint_mode(core)
+        core.uintr.safepoint_mode = False
         assert not core.uintr.safepoint_mode
 
 
 class TestTimerHelpers:
+    """``enable_kb_timer`` (the kernel's kb_config_MSR write) followed by
+    the user-level ``set_timer`` arm (§4.3)."""
+
     def test_arm_periodic_delivers(self):
         system = MultiCoreSystem([build_count_to(30_000)], [TrackedStrategy()])
-        arm_periodic_timer(system, 0, period_cycles=5000)
+        system.enable_kb_timer(0, vector=2)
+        core = system.cores[0]
+        core.uintr.kb_timer.arm_periodic(5000, now=core.cycle)
         system.run(2_000_000, until_halted=[0])
-        assert system.cores[0].stats.interrupts_delivered >= 3
-
-    def test_arm_periodic_validates_period(self):
-        system = MultiCoreSystem([build_count_to(100)], [TrackedStrategy()])
-        with pytest.raises(ConfigError):
-            arm_periodic_timer(system, 0, period_cycles=0)
+        assert core.stats.interrupts_delivered >= 3
 
     def test_arm_oneshot_delivers_once(self):
         system = MultiCoreSystem([build_count_to(30_000)], [TrackedStrategy()])
-        arm_oneshot_timer(system, 0, deadline_cycle=4000)
+        system.enable_kb_timer(0, vector=2)
+        system.cores[0].uintr.kb_timer.arm_oneshot(4000)
         system.run(2_000_000, until_halted=[0])
         assert system.cores[0].stats.interrupts_delivered == 1
-
-    def test_arm_oneshot_past_deadline_rejected(self):
-        system = MultiCoreSystem([build_count_to(100)], [TrackedStrategy()])
-        system.run(50)
-        with pytest.raises(ProtocolError):
-            arm_oneshot_timer(system, 0, deadline_cycle=0)
 
 
 class TestForwardingHelper:
     def test_device_interrupts_reach_handler(self):
         system = MultiCoreSystem([build_spin_receiver()], [TrackedStrategy()])
-        setup_device_forwarding(system, 0, vector=40, user_vector=3)
+        system.enable_forwarding(0, vector=40, user_vector=3)
         for i in range(4):
             system.raise_device_interrupt(0, 40, delay=1000 + 1500 * i)
         system.run(20_000)
@@ -72,7 +62,7 @@ class TestForwardingHelper:
         """Forwarded interrupts skip notification processing (§4.5): no
         UPID reads appear in the trace."""
         system = MultiCoreSystem([build_spin_receiver()], [TrackedStrategy()], trace=True)
-        setup_device_forwarding(system, 0, vector=40, user_vector=3)
+        system.enable_forwarding(0, vector=40, user_vector=3)
         system.raise_device_interrupt(0, 40, delay=500)
         system.run(10_000)
         assert system.cores[0].stats.interrupts_delivered == 1
