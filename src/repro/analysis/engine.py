@@ -108,9 +108,6 @@ class LintReport:
     def ok(self) -> bool:
         return not self.new_findings and not self.parse_errors
 
-    def all_findings(self) -> List[Finding]:
-        return sorted(self.new_findings + self.baselined_findings, key=Finding.sort_key)
-
 
 def run_rules(
     paths: Sequence[Path],

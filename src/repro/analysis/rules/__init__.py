@@ -123,9 +123,6 @@ class ProgramModel:
             self._state_model = extract_state_model(self.sources)
         return self._state_model
 
-    def has_modules(self, *modules: str) -> bool:
-        return all(module in self.by_module for module in modules)
-
 
 class ProgramRule(Rule):
     """Base class for whole-program rules (STA2xx).

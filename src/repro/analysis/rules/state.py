@@ -6,11 +6,6 @@ proof did not account for.  These rules move that bug class to lint time,
 using the whole-program state model extracted by
 :mod:`repro.analysis.statemodel`:
 
-- STA201: every mutable ``Core`` field must be referenced by the macro-op
-  tier's snapshot/compare module (``repro.cpu.macroop``) or listed in
-  :data:`MACRO_SNAPSHOT_EXEMPT` with the replay invariant that makes it
-  safe.  Adding a field to ``Core`` without teaching the sigma snapshot
-  becomes a lint failure, not a fuzzer find.
 - STA202: the fast loop's skip proof (``Core.next_activity_cycle`` and
   ``Core.note_skipped``) must reference every mutable ``Core`` field or
   exempt it in :data:`FAST_ACTIVITY_EXEMPT`.
@@ -28,11 +23,9 @@ let single-file fixtures exercise each rule without shipping a fake engine:
 
 - ``state-class[Name owner=pkg core hot]`` — declare a modeled class
   (parsed by :mod:`repro.analysis.statemodel`).
-- ``snapshot-fn[f,g]`` — STA201: these functions are the snapshot surface
-  for the file's ``core``-flagged classes.
 - ``activity-fn[f,g]`` — STA202: these functions are the activity surface.
-- ``exempt[Class.field] -- reason`` — exempt one field from the coverage
-  rules; the reason is mandatory.
+- ``exempt[Class.field] -- reason`` — exempt one field from STA202; the
+  reason is mandatory.
 - ``write-grant[Class.field pkg]`` — STA204/205: declare an interception
   point granting ``pkg`` write access (fixture-local).
 - ``read-only-module`` — STA204: apply the read-only contract to the file.
@@ -103,29 +96,6 @@ _NA_CACHE_REASON = (
 #: cycle 0 (system wiring / kernel registration), constant during simulation.
 _CONFIG_TIME_REASON = "installed at configuration time, constant during simulation"
 
-#: STA201 — mutable ``Core`` fields the macro-op sigma snapshot may ignore,
-#: each with the replay invariant that makes ignoring it safe.  This is the
-#: complete audited list: every other mutable Core field must be referenced
-#: by ``repro.cpu.macroop`` or lint fails.
-MACRO_SNAPSHOT_EXEMPT: Dict[str, str] = {
-    "_idle_anchor": _NA_CACHE_REASON,
-    "_na_backoff": _NA_CACHE_REASON,
-    "_na_streak": _NA_CACHE_REASON,
-    "_next_activity": _NA_CACHE_REASON,
-    "_macro": _CONFIG_TIME_REASON + " (the MacroController handle itself)",
-    "invariant_probe": _CONFIG_TIME_REASON + " (declared fault-hook grant)",
-    "uitt": _CONFIG_TIME_REASON + " (connect_uipi / kernel UITT registration)",
-    "engine_cycles_skipped": (
-        "engine-tier skip accounting that intentionally differs between "
-        "naive/fast/macro tiers; excluded from the equality contract"
-    ),
-    "macro_pc": (
-        "sigma arm/match requires empty inject/macro queues (macroop guards "
-        "read macro_pos/macro_queue), so the macro-sequence PC is dead state "
-        "at every snapshot boundary"
-    ),
-}
-
 #: Shared justification for data-path fields only the core's own step()
 #: (or its interrupt-delivery path, which runs inside step()) mutates: a
 #: skipped core executes nothing, and the skip proof consults only timing
@@ -137,8 +107,9 @@ _STEP_ONLY_REASON = (
 )
 
 #: STA202 — mutable ``Core`` fields the fast loop's skip proof
-#: (next_activity_cycle + note_skipped) may ignore.  Complete audited list,
-#: same contract as :data:`MACRO_SNAPSHOT_EXEMPT`.
+#: (next_activity_cycle + note_skipped) may ignore.  This is the complete
+#: audited list: every other mutable Core field must be read by the skip
+#: proof or lint fails.
 FAST_ACTIVITY_EXEMPT: Dict[str, str] = {
     "arch_regs": _STEP_ONLY_REASON,
     "reg_producer": _STEP_ONLY_REASON,
@@ -178,7 +149,6 @@ FAST_ACTIVITY_EXEMPT: Dict[str, str] = {
 # ---------------------------------------------------------------------------
 # Pragmas
 
-_SNAPSHOT_FN_RE = re.compile(r"#\s*detlint:\s*snapshot-fn\[([A-Za-z0-9_,\s]+)\]")
 _ACTIVITY_FN_RE = re.compile(r"#\s*detlint:\s*activity-fn\[([A-Za-z0-9_,\s]+)\]")
 _EXEMPT_RE = re.compile(r"#\s*detlint:\s*exempt\[(\w+)\.(\w+)\]\s*--\s*(\S.*)")
 _GRANT_RE = re.compile(r"#\s*detlint:\s*write-grant\[(\w+)\.(\w+)\s+([\w.]+)\]")
@@ -272,108 +242,13 @@ def _local_nonmodel_fields(module: ModuleSource, model: StateModel) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# STA201 / STA202 — snapshot & activity coverage
-
-
-class _CoverageRule(ProgramRule):
-    """Shared machinery: audit mutable core-state fields against a reader
-    surface, honouring an exemption manifest."""
-
-    def _audit(
-        self,
-        program: ProgramModel,
-        cls: ClassModel,
-        anchor: ModuleSource,
-        readers: Set[str],
-        exempt: Dict[str, str],
-        surface: str,
-        manifest: str,
-    ) -> Iterator[Finding]:
-        field_names = {info.name for info in cls.fields}
-        for info in cls.mutable_fields():
-            if info.name in readers:
-                continue
-            reason = exempt.get(info.name)
-            if reason:
-                continue
-            yield self.program_finding(
-                anchor,
-                None,
-                f"mutable {cls.name} field `{info.name}` is not referenced by "
-                f"{surface} and carries no exemption",
-                hint=(
-                    f"teach {surface} about the field, or add it to "
-                    f"{manifest} with the invariant that makes skipping it "
-                    "safe for replay"
-                ),
-            )
-        for name in sorted(exempt):
-            if name not in field_names:
-                yield self.program_finding(
-                    anchor,
-                    None,
-                    f"stale exemption: `{name}` is not a field of {cls.name}",
-                    hint=f"delete the entry from {manifest}",
-                )
+# STA202 — activity coverage
 
 
 @register
-class MacroSnapshotCoverageRule(_CoverageRule):
-    """STA201 — the sigma snapshot must know every mutable Core field."""
-
-    rule_id = "STA201"
-    description = (
-        "mutable core-state field not covered by the macro-op snapshot "
-        "module and not exempted as replay-invariant"
-    )
-    hint = (
-        "extend _snapshot_core/_sigma_match, or exempt the field in "
-        "MACRO_SNAPSHOT_EXEMPT with the invariant that keeps replay exact"
-    )
-
-    _READER_MODULE = "repro.cpu.macroop"
-
-    def check_program(self, program: ProgramModel) -> Iterator[Finding]:
-        model = program.state_model
-        for cls in model.core_classes():
-            source = program.by_module.get(cls.module)
-            if source is None:
-                continue
-            if cls.module == "repro.cpu.core":
-                reader = program.by_module.get(self._READER_MODULE)
-                if reader is None:
-                    continue  # partial scan: no snapshot contract in view
-                readers = _attr_mentions(reader.tree)
-                exempt = dict(MACRO_SNAPSHOT_EXEMPT)
-                anchor = reader
-            else:
-                fn_names = set(_fn_list(_SNAPSHOT_FN_RE, source.text))
-                if not fn_names:
-                    continue  # fixture declared no snapshot surface
-                readers = set()
-                for fn in _functions_named(source.tree, fn_names):
-                    readers |= _attr_mentions(fn)
-                exempt = {
-                    field: reason
-                    for (name, field), reason in _pragma_exemptions(source.text).items()
-                    if name == cls.name
-                }
-                anchor = source
-            yield from self._audit(
-                program,
-                cls,
-                anchor,
-                readers,
-                exempt,
-                surface=f"the snapshot surface of {anchor.module}",
-                manifest="MACRO_SNAPSHOT_EXEMPT",
-            )
-
-
-@register
-class FastActivityCoverageRule(_CoverageRule):
+class FastActivityCoverageRule(ProgramRule):
     """STA202 — the fast loop's skip proof must know every mutable Core
-    field."""
+    field, and every exemption must name a field that exists."""
 
     rule_id = "STA202"
     description = (
@@ -408,15 +283,30 @@ class FastActivityCoverageRule(_CoverageRule):
             readers: Set[str] = set()
             for fn in _functions_named(source.tree, fn_names):
                 readers |= _attr_mentions(fn)
-            yield from self._audit(
-                program,
-                cls,
-                source,
-                readers,
-                exempt,
-                surface=f"the skip proof of {source.module}",
-                manifest="FAST_ACTIVITY_EXEMPT",
-            )
+            surface = f"the skip proof of {source.module}"
+            for info in cls.mutable_fields():
+                if info.name in readers or exempt.get(info.name):
+                    continue
+                yield self.program_finding(
+                    source,
+                    None,
+                    f"mutable {cls.name} field `{info.name}` is not referenced by "
+                    f"{surface} and carries no exemption",
+                    hint=(
+                        f"teach {surface} about the field, or add it to "
+                        "FAST_ACTIVITY_EXEMPT with the invariant that makes "
+                        "skipping it safe"
+                    ),
+                )
+            field_names = {info.name for info in cls.fields}
+            for name in sorted(exempt):
+                if name not in field_names:
+                    yield self.program_finding(
+                        source,
+                        None,
+                        f"stale exemption: `{name}` is not a field of {cls.name}",
+                        hint="delete the entry from FAST_ACTIVITY_EXEMPT",
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,8 @@ class StateClassSpec:
     owner: str
     #: Listed in the derived ``SLOTS_MANIFEST`` (PRO103).
     hot_path: bool = True
-    #: The machine-state class the snapshot-coverage rules (STA201/202)
-    #: audit field-by-field.
+    #: The machine-state class the skip-proof coverage rule (STA202) audits
+    #: field-by-field.
     core_state: bool = False
 
 
@@ -106,9 +106,6 @@ STATE_CLASSES: Tuple[StateClassSpec, ...] = (
     _spec("repro.cpu.backend", "UOp"),
     _spec("repro.cpu.hotness", "HotnessTracker"),
     _spec("repro.cpu.macroop", "MacroController"),
-    _spec("repro.cpu.macroop", "_UopShot"),
-    _spec("repro.cpu.macroop", "_Snapshot"),
-    _spec("repro.cpu.macroop", "_Match"),
     _spec("repro.cpu.macroop", "_CacheOverlay"),
     _spec("repro.cpu.uopcache", "UopCache"),
     _spec("repro.cpu.uopcache", "UopCacheEntry"),

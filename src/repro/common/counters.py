@@ -133,7 +133,7 @@ class EngineCounters:
         return out
 
 
-#: The process-global accumulator.  ``Core.run`` / ``MultiCoreSystem.run`` /
+#: The process-global accumulator.  ``MultiCoreSystem.run`` and
 #: ``Simulator.run`` add their per-run deltas here; parallel sweep workers
 #: accumulate in their own processes, so with ``--jobs N`` only in-process
 #: runs are visible.

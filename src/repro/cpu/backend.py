@@ -199,10 +199,6 @@ class FunctionalUnits:
         # issue hot path reads the table instead of re-deriving per µop.
         self._latency: Dict[Op, int] = {op: self._latency_of(op) for op in Op}
 
-    @staticmethod
-    def classify(op: Op) -> str:
-        return OP_META[op][3]
-
     def try_acquire(self, op: Op, cycle: int, unit: Optional[str] = None) -> bool:
         # Keyed on the cycle *value*, not on call count, so the bandwidth
         # table resets correctly when the cycle-skipping engine jumps the

@@ -94,10 +94,6 @@ class SharedMemory:
         #: observers notified on every write: callables (core_id, addr).
         self._write_observers: List = []
 
-    @staticmethod
-    def word_addr(addr: int) -> int:
-        return addr & ~0x7
-
     @classmethod
     def line_of(cls, addr: int) -> int:
         return addr // cls.LINE_BYTES

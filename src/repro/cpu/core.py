@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.common.counters import GLOBAL_COUNTERS, fast_engine_enabled
 from repro.common.errors import ProtocolError, SimulationError
 from repro.cpu.backend import (
     ST_DONE,
@@ -274,72 +273,6 @@ class Core:
         self._complete_stage()
         self._issue_stage()
         self._fetch_stage()
-
-    def run(self, max_cycles: int) -> int:
-        """Single-core convenience loop (multi-core runs use MultiCoreSystem).
-
-        With the fast engine enabled (default; ``REPRO_FAST=0`` opts out)
-        the loop jumps the clock over provably quiescent stretches — see
-        :meth:`next_activity_cycle`.  Results are byte-identical to the
-        naive stepper; only wall-clock changes.
-        """
-        start = self.cycle
-        end = start + max_cycles
-        stepped = 0
-        skipped = 0
-        hits0 = self.uop_cache.hits
-        misses0 = self.uop_cache.misses
-        if fast_engine_enabled():
-            cycle = start
-            backoff = 0
-            streak = self._na_streak
-            while cycle < end:
-                if self.halted:
-                    break
-                self.step(cycle)
-                stepped += 1
-                if self.halted:
-                    break
-                if backoff > 0:
-                    # The pipeline has been busy every recent cycle; step on
-                    # without re-scanning the horizon (always safe).
-                    backoff -= 1
-                    cycle += 1
-                    continue
-                nxt = self.next_activity_cycle()
-                if nxt > cycle + 1:
-                    streak = 0
-                    if nxt >= end:
-                        # Quiescent through the end of the window: the naive
-                        # stepper would no-op cycles cycle+1 .. end-1.
-                        quiet = end - 1 - cycle
-                        if quiet > 0:
-                            self.note_skipped(quiet)
-                            skipped += quiet
-                            self.cycle = end - 1
-                        break
-                    quiet = nxt - 1 - cycle
-                    self.note_skipped(quiet)
-                    skipped += quiet
-                    cycle = nxt
-                else:
-                    if streak < 4 * NA_BACKOFF_CAP:
-                        streak += 1
-                    backoff = streak >> 2
-                    cycle += 1
-            self._na_streak = streak
-        else:
-            for cycle in range(start, end):
-                if self.halted:
-                    break
-                self.step(cycle)
-                stepped += 1
-        g = GLOBAL_COUNTERS
-        g.cycles_stepped += stepped
-        g.cycles_skipped += skipped
-        g.uop_cache_hits += self.uop_cache.hits - hits0
-        g.uop_cache_misses += self.uop_cache.misses - misses0
-        return self.cycle - start
 
     # ------------------------------------------------------------------
     # Cycle skipping (the fast engine)

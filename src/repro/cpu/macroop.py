@@ -8,9 +8,9 @@ rather than the simulated frontend:
 1. **Detect** — :class:`repro.cpu.hotness.HotnessTracker` counts committed
    taken backward branches; crossing the threshold nominates a loop.
 2. **Record** — at the next cycle boundary the controller snapshots the
-   full microarchitectural state (ROB slots, heaps, LSQ, rename map,
-   predictor tables, caches, timers) and keeps stepping normally while
-   logging every committed uop and every load/store latency.
+   core, one row of :data:`SIGMA_FIELDS` per field (ROB slots, heaps, LSQ,
+   rename map, predictor tables, caches, timers), and keeps stepping
+   normally while logging every committed uop and every load/store latency.
 3. **Match** — at each later boundary it looks for the *shifted repeat* of
    the snapshot: the same pipeline picture with every sequence number
    advanced by ``cc`` (uops committed in the window) and every timestamp by
@@ -47,7 +47,10 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from itertools import islice
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.counters import GLOBAL_COUNTERS
 from repro.cpu.backend import ST_DONE, ST_EXECUTING, ST_WAITING, UOp
@@ -115,156 +118,271 @@ def _signed(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
-class _UopShot:
-    """Immutable picture of one ROB slot, with producers/dependents resolved
-    to ROB indices (or committed-window positions for retired producers)."""
+# ---------------------------------------------------------------------------
+# The sigma table
+#
+# One row per field path of ``Core`` (dotted through the objects the core
+# owns) and of ``UOp`` (prefixed ``uop.``).  Each row names how the field
+# at a matching boundary relates to its value in the snapshot: sigma maps
+# the snapshot to the live core when every row holds.  The snapshot, the
+# compare and the apply below are loops over these rows, and
+# ``tests/cpu/test_sigma_fields.py`` checks that the rows name exactly the
+# attributes a live core has.
 
-    __slots__ = (
-        "seq",
-        "op",
-        "pc",
-        "instr",
-        "macro_first",
-        "macro_last",
-        "dest",
-        "src_regs",
-        "imm",
-        "target",
-        "safepoint",
-        "chain",
-        "uitt_index",
-        "extra_latency",
-        "pred_taken",
-        "pred_target",
-        "history_token",
-        "state",
-        "wait_count",
-        "frontend_ready",
-        "complete_cycle",
-        "result",
-        "addr",
-        "store_value",
-        "actual_taken",
-        "actual_target",
-        "producers",
-        "dependents",
-    )
+#: The live value equals the snapshot's (``arg``: how the snapshot copies a
+#: mutable value).
+EQUAL = "equal"
+#: The live value is idle (``arg``); a falsy idle value admits any falsy
+#: value, e.g. an empty tuple or list.
+CLEAN = "clean"
+#: Moved by one unit per window (``arg``: DELTA cycles or CC sequence
+#: numbers); apply moves it n units.
+SHIFTED = "shifted"
+#: A counter whose per-window delta must be ``arg`` (DELTA, CC or 0) or is
+#: FREE; apply adds n deltas.
+ADVANCED = "advanced"
+#: Data the functional evaluator produces (``arg``: the record slot).
+EVALUATED = "evaluated"
+#: Uop references, compared as ROB-relative indices by the hand-written
+#: edge, rename and heap checks.
+INDEX = "index"
+#: Neither compared nor applied; ``note`` says why that is safe.
+IGNORED = "ignored"
 
-    def __init__(self, uop: UOp, index_of: Dict[int, int], seq0: int) -> None:
-        self.seq = uop.seq
-        self.op = uop.op
-        self.pc = uop.pc
-        self.instr = uop.instr
-        self.macro_first = uop.macro_first
-        self.macro_last = uop.macro_last
-        self.dest = uop.dest
-        self.src_regs = uop.src_regs
-        self.imm = uop.imm
-        self.target = uop.target
-        self.safepoint = uop.safepoint
-        self.chain = uop.chain
-        self.uitt_index = uop.uitt_index
-        self.extra_latency = uop.extra_latency
-        self.pred_taken = uop.pred_taken
-        self.pred_target = uop.pred_target
-        self.history_token = uop.history_token
-        self.state = uop.state
-        self.wait_count = uop.wait_count
-        self.frontend_ready = uop.frontend_ready
-        self.complete_cycle = uop.complete_cycle
-        self.result = uop.result
-        self.addr = uop.addr
-        self.store_value = uop.store_value
-        self.actual_taken = uop.actual_taken
-        self.actual_target = uop.actual_target
-        # Only fields the core will still *read* take part in the sigma
-        # compare.  Operand values are read once, when execution starts
-        # (``UOp.source_value`` call sites), so producer edges are dead for
-        # state >= ST_EXECUTING; a producer only ever wakes dependents that
-        # are still ST_WAITING (and unsquashed) at completion, so everything
-        # else in the dependents list is inert bookkeeping.  Comparing dead
-        # edges would demand fetch-phase alignment deep OoO windows (memops)
-        # never reach, without adding any soundness.
-        # producers: reg -> ("r", rob_index) | ("x", window_position)
-        producers: List[Tuple[int, str, int]] = []
-        ok = True
-        if uop.state < ST_EXECUTING:
-            for reg in sorted(uop.producers):
-                prod = uop.producers[reg]
-                idx = index_of.get(id(prod))
-                if idx is not None:
-                    producers.append((reg, "r", idx))
-                elif prod.state == ST_DONE and not prod.squashed:
-                    producers.append((reg, "x", prod.seq - seq0))
-                else:
-                    ok = False  # squashed leftover — not sigma-comparable
-        deps: List[int] = []
-        for dep in uop.dependents:
-            if dep.squashed or dep.state != ST_WAITING:
-                continue  # already woken (or dead): never touched again
-            idx = index_of.get(id(dep))
-            if idx is None:
-                ok = False  # waiting dependent outside the ROB — bail
-                break
-            deps.append(idx)
-        self.producers = tuple(producers) if ok else None
-        self.dependents = tuple(sorted(deps))
+DELTA = "delta"
+CC = "cc"
+FREE = "free"
+
+#: ``when`` qualifiers.  WAITING: read, so compared and applied, only while
+#: the uop is ST_WAITING, where a shifted value at or before the boundary on
+#: both ends is dead (the wakeup reads it as ``max(cycle, value)``).  STALE:
+#: a shifted value may instead stay unchanged at or before the snapshot
+#: cycle (dead; its per-window delta is then 0).
+WAITING = "waiting"
+STALE = "stale"
 
 
-class _Snapshot:
-    """Full boundary picture of one core, taken when a recording is armed."""
+class SigmaField(NamedTuple):
+    """One row: a field path, its relation under sigma, the relation's
+    argument, why the relation holds, and a ``when`` qualifier."""
 
-    __slots__ = (
-        "t0",
-        "seq0",
-        "seq_next",
-        "shots",
-        "loads_idx",
-        "stores_idx",
-        "ready",
-        "execq",
-        "rename",
-        "arch_regs",
-        "fetch_pc",
-        "iq_count",
-        "fetch_stall_until",
-        "current_fetch_line",
-        "lpcc",
-        "conservative_loads",
-        "notif_pir",
-        "stats",
-        "uintr_state",
-        "kb_state",
-        "apic_timer_state",
-        "predictions",
-        "mispredictions",
-        "gshare_table",
-        "gshare_history",
-        "btb_tags",
-        "btb_targets",
-        "ras_stack",
-        "icache_sets",
-        "icache_hits",
-        "icache_misses",
-        "uop_sets",
-        "uop_hits",
-        "uop_misses",
-        "remote_misses",
-        "apic_ctrs",
-        "apic_queue_lens",
-        "fingerprint",
-    )
+    path: str
+    relation: str
+    arg: Any = None
+    note: str = ""
+    when: str = ""
 
 
-def _timer_state(timer) -> Tuple:
-    return (
-        timer.enabled,
-        timer.vector,
-        timer.armed,
-        timer.periodic,
-        timer.deadline,
-        timer.period,
-    )
+def _rows(relation: str, names: str, arg: Any = None, note: str = "", prefix: str = ""):
+    dot = prefix + "." if prefix else ""
+    return tuple(SigmaField(dot + name, relation, arg, note) for name in names.split())
+
+
+def _copy_sets(sets: List[list]) -> List[list]:
+    return [list(tags) for tags in sets]
+
+
+_CONFIG = "wiring or configuration, constant during simulation"
+_NA_CACHE = (
+    "run-loop memo of next_activity_cycle, re-derived from the heaps, "
+    "timers and stalls; staleness can only shorten a skip"
+)
+_TIMER = "enabled vector armed periodic deadline period"
+
+SIGMA_FIELDS: Tuple[SigmaField, ...] = (
+    # -- Core: the interrupt, serialisation and microcode paths are idle.
+    *_rows(CLEAN, "halted interrupt_path _trace_resume_pending uintr.in_handler", False),
+    *_rows(CLEAN, "wait_reason delivery_state current_interrupt _last_chain_uop", None),
+    *_rows(CLEAN, "inject_queue macro_queue apic._pending apic.slow_path_queue", ()),
+    SigmaField("_serialize_until", CLEAN, -1),
+    # -- Core: equal, in compare order.  The compare stops at the first
+    # mismatch, so the long front-end tables come last.
+    *_rows(EQUAL, "fetch_pc iq_count _current_fetch_line _notif_pir"),
+    SigmaField("_conservative_loads", EQUAL, frozenset),
+    *_rows(ADVANCED, "squashed_uops branch_squashes memory_order_squashes", 0, prefix="stats"),
+    *_rows(ADVANCED, "serialize_stall_cycles interrupts_delivered", 0, prefix="stats"),
+    *_rows(ADVANCED, "interrupt_flushes committed_handler_instructions", 0, prefix="stats"),
+    *_rows(EQUAL, "uif uirr handler_index upid_addr uitt_base safepoint_mode", prefix="uintr"),
+    SigmaField("uintr.ui_return_pc", EQUAL),
+    *_rows(EQUAL, _TIMER, prefix="uintr.kb_timer"),
+    *_rows(EQUAL, _TIMER, prefix="apic_timer"),
+    *_rows(ADVANCED, "accepted forwarded_fast forwarded_slow", 0, prefix="apic"),
+    *_rows(ADVANCED, "faults_dropped user_queued", 0, prefix="apic"),
+    SigmaField("apic.kernel_queue", EQUAL, deque, "grows only when accepted advances"),
+    *_rows(ADVANCED, "hierarchy.remote_misses predictor.mispredictions", 0),
+    SigmaField("predictor.gshare._history", EQUAL),
+    *_rows(EQUAL, "gshare._table btb._tags btb._targets ras._stack", list, prefix="predictor"),
+    *_rows(EQUAL, "icache.cache._sets uop_cache._sets", _copy_sets),
+    # -- Core: clocks, sequence numbers and counters.
+    SigmaField("cycle", SHIFTED, DELTA, "defines delta"),
+    SigmaField("_seq", SHIFTED, CC),
+    SigmaField("last_program_commit_cycle", SHIFTED, DELTA),
+    SigmaField("fetch_stall_until", SHIFTED, DELTA, when=STALE),
+    SigmaField("stats.cycles", ADVANCED, DELTA),
+    *_rows(ADVANCED, "committed_instructions committed_uops fetched_uops", CC, prefix="stats"),
+    *_rows(ADVANCED, "predictor.predictions icache.cache.hits icache.cache.misses", FREE),
+    *_rows(ADVANCED, "uop_cache.hits uop_cache.misses", FREE),
+    SigmaField("arch_regs", EVALUATED, note="the evaluator must reproduce them after one period"),
+    # -- Core: uop references.
+    SigmaField("rob", INDEX, note="slot i holds sequence number seq0 + cc + i"),
+    *_rows(INDEX, "reg_producer lsq.loads lsq.stores"),
+    *_rows(INDEX, "ready_heap exec_heap", note="time shifted by delta unless due, seq by cc"),
+    # -- Core: ignored.
+    *_rows(
+        IGNORED,
+        "core_id program config params timing send_ipi uitt invariant_probe _prog_len "
+        "hierarchy.core_id hierarchy.params hierarchy.shared icache.params "
+        "icache.cache.params icache.cache._line_shift icache.cache._num_sets "
+        "uop_cache.num_sets uop_cache.ways uop_cache.hit_depth_bonus "
+        "predictor.gshare.table_bits predictor.gshare.history_bits "
+        "predictor.gshare._history_mask predictor.gshare._index_mask "
+        "predictor.btb._entries predictor.ras._depth apic.apic_id "
+        "apic.uipi_notification_vector apic.forwarding_enabled apic.forwarded_active "
+        "apic.forward_user_vector lsq.params fus.params fus._limits fus._latency",
+        note=_CONFIG,
+    ),
+    SigmaField("apic.fault_interceptor", IGNORED, note="_eligible refuses to arm beside one"),
+    SigmaField("strategy", IGNORED, note="_eligible arms only on an empty pending_inventory()"),
+    SigmaField(
+        "shared",
+        IGNORED,
+        note="the evaluator reads it, apply writes the replayed stores, and "
+        "_probe_periods refuses lines another core wrote",
+    ),
+    SigmaField("trace", IGNORED, note="records deliveries; interrupts_delivered advances by 0"),
+    *_rows(IGNORED, "hierarchy.dcache hierarchy.l2cache", note="_probe_periods proves them"),
+    *_rows(IGNORED, "fus._cycle fus._used", note="per-cycle scratch, reset on a new cycle"),
+    SigmaField("engine_cycles_skipped", IGNORED, note="engine telemetry, not simulated state"),
+    *_rows(IGNORED, "_next_activity _idle_anchor _na_streak _na_backoff", note=_NA_CACHE),
+    *_rows(IGNORED, "_macro _macro_rec", note="the macro tier's own plumbing"),
+    *_rows(IGNORED, "inject_pos macro_pos macro_pc", note="cursors of queues that are clean"),
+    # -- UOp.
+    SigmaField("uop.seq", SHIFTED, CC, "compared as the ROB index"),
+    *_rows(EQUAL, "op pc instr macro_first macro_last dest src_regs imm target", prefix="uop"),
+    *_rows(EQUAL, "safepoint chain uitt_index extra_latency", prefix="uop"),
+    *_rows(EQUAL, "pred_taken pred_target history_token state", prefix="uop"),
+    *_rows(CLEAN, "is_micro from_interrupt squashed", False, prefix="uop"),
+    SigmaField("uop.semantic", CLEAN, ""),
+    *_rows(CLEAN, "src_values ras_snapshot", None, prefix="uop"),
+    SigmaField("uop.wait_count", EQUAL, when=WAITING),
+    SigmaField("uop.frontend_ready", SHIFTED, DELTA, when=WAITING),
+    SigmaField("uop.result", EVALUATED, 0),
+    SigmaField("uop.addr", EVALUATED, 1),
+    SigmaField("uop.store_value", EVALUATED, 2),
+    SigmaField("uop.actual_taken", EVALUATED, 3),
+    SigmaField("uop.actual_target", EVALUATED, note="equals target once a branch executed"),
+    SigmaField("uop.producers", INDEX, note="read until it executes; slot or retired position"),
+    SigmaField("uop.dependents", INDEX, note="only dependents still waiting are woken"),
+    SigmaField("uop.complete_cycle", IGNORED, note="the core reads its exec_heap copy"),
+    *_rows(IGNORED, "is_serializing is_branch is_cond_branch fu_class", prefix="uop",
+           note="decoded from op"),
+)
+
+
+def _select(uop: bool, relations: Tuple[str, ...], when: Optional[str] = "") -> List[SigmaField]:
+    """The rows of one scope (UOp or Core) with these relations, in table
+    order; ``when=None`` takes every qualifier."""
+    return [
+        row
+        for row in SIGMA_FIELDS
+        if row.path.startswith("uop.") == uop
+        and row.relation in relations
+        and when in (None, row.when)
+    ]
+
+
+def _getter(rows: Sequence[SigmaField]):
+    """One ``attrgetter`` over the rows' paths that always returns a tuple."""
+    paths = [row.path[4:] if row.path.startswith("uop.") else row.path for row in rows]
+    if len(paths) > 1:
+        return attrgetter(*paths)
+    get = attrgetter(*paths)
+    return lambda obj: (get(obj),)
+
+
+def _dirty(rows: Sequence[SigmaField]):
+    """Predicate: is any CLEAN row off its idle value?"""
+    falsy = _getter([row for row in rows if not row.arg])
+    exact = [row for row in rows if row.arg]
+    get_exact = _getter(exact)
+    idle = tuple(row.arg for row in exact)
+    return lambda obj: any(falsy(obj)) or get_exact(obj) != idle
+
+
+def _setter(path: str):
+    owner, _, name = path.rpartition(".")
+    return (attrgetter(owner) if owner else None), name
+
+
+# Core rows, compiled.  ADVANCED rows with a zero delta compare like EQUAL
+# rows and apply nothing.
+_CORE_EQUAL_ROWS = [
+    row for row in _select(False, (EQUAL, ADVANCED)) if row.relation == EQUAL or row.arg == 0
+]
+_CORE_EQUAL = _getter(_CORE_EQUAL_ROWS)
+_CORE_COPIES = tuple(
+    (i, row.arg) for i, row in enumerate(_CORE_EQUAL_ROWS) if row.relation == EQUAL and row.arg
+)
+_SQUASHED = [row.path for row in _CORE_EQUAL_ROWS].index("stats.squashed_uops")
+_CORE_DIRTY = _dirty(_select(False, (CLEAN,)))
+_CORE_STEP_ROWS = [
+    row for row in _select(False, (SHIFTED, ADVANCED), None) if row.arg in (DELTA, CC)
+]
+_CORE_COUNT_ROWS = _CORE_STEP_ROWS + [row for row in _select(False, (ADVANCED,)) if row.arg == FREE]
+_CORE_COUNT = _getter(_CORE_COUNT_ROWS)
+_CORE_STEPS = tuple((row.arg, row.when == STALE) for row in _CORE_STEP_ROWS)
+_COUNT_SETTERS = tuple(_setter(row.path) for row in _CORE_COUNT_ROWS)
+
+# UOp rows, compiled.  Every UOp idle value is falsy.  The snapshot refuses
+# a uop with a dirty CLEAN row, so the live compare folds CLEAN rows into
+# the EQUAL tuple.
+_UOP_EQUAL_ROWS = _select(True, (EQUAL,)) + _select(True, (CLEAN,))
+_UOP_EQUAL = _getter(_UOP_EQUAL_ROWS)
+_UOP_CLEAN = itemgetter(slice(len(_select(True, (EQUAL,))), None))  # of a _UOP_EQUAL tuple
+_OP = attrgetter("op")
+_UOP_WAITING_ROWS = _select(True, (EQUAL, SHIFTED), WAITING)
+_UOP_WAITING = _getter(_UOP_WAITING_ROWS)
+_WAITING_SHIFTED = tuple(row.relation == SHIFTED for row in _UOP_WAITING_ROWS)
+_UOP_SHIFTS = tuple(
+    (row.path[4:], row.arg, attrgetter(row.path[4:]), row.when == WAITING)
+    for row in _select(True, (SHIFTED,), None)
+)
+_UOP_EVALUATED = _getter(_select(True, (EVALUATED,)))
+#: Where :func:`_values_ok` finds the fields that decide which evaluated
+#: fields are live, in a ``_UOP_EQUAL`` tuple.
+_OP_AT, _STATE_AT, _PRED_TAKEN_AT, _PRED_TARGET_AT, _TARGET_AT = (
+    [row.path[4:] for row in _UOP_EQUAL_ROWS].index(name)
+    for name in ("op", "state", "pred_taken", "pred_target", "target")
+)
+_RECORD_SLOT = {row.path[4:]: row.arg for row in _select(True, (EVALUATED,))}
+#: The evaluated fields each supported op's execution writes, with their
+#: record slot.
+_WRITES = {
+    op: tuple((name, _RECORD_SLOT[name]) for name in names)
+    for op, names in {
+        **{op: ("result",) for op in SUPPORTED_OPS},
+        **{op: ("actual_taken",) for op in _BRANCH_OPS},
+        Op.LOAD: ("addr", "result"),
+        Op.STORE: ("addr", "store_value"),
+    }.items()
+}
+
+
+class _Snapshot(NamedTuple):
+    """The core's rows at the boundary a recording armed on."""
+
+    t0: int
+    seq0: int
+    equal: Tuple  # _CORE_EQUAL, mutable values copied
+    count: Tuple  # _CORE_COUNT
+    regs: List[int]
+    uops: List[Tuple]  # _UOP_EQUAL per ROB slot
+    evaluated: List[Tuple]  # _UOP_EVALUATED per ROB slot
+    writes: List[Tuple]  # _WRITES per ROB slot
+    waiting: List[Tuple[int, Tuple]]  # (slot, _UOP_WAITING) of each waiting uop
+    refs: Tuple  # see _index
+    heaps: List
+    fingerprint: Tuple
 
 
 def _fingerprint(core) -> Tuple:
@@ -285,383 +403,183 @@ def _fingerprint(core) -> Tuple:
     )
 
 
+# -- the INDEX rows, by hand --------------------------------------------------
+
+
+def _index(core, base: int):
+    """Every uop reference the core holds, as slots of its ROB, which must
+    hold sequence numbers ``base``, ``base + 1``, ... in order.  Returns
+    ``(retired, refs, heaps)``, or None when a reference leaves the ROB:
+
+    - ``refs``: each slot's live (producers, dependents), the rename map,
+      and the LSQ membership, all compared for equality;
+    - ``heaps``: the ready and exec heaps as sorted (time, seq, slot)
+      lists, the only order heappop observes (the array layout depends on
+      push/pop history);
+    - ``retired``: the producers that already retired, which a slot names
+      by their sequence number relative to ``base``.
+
+    Only edges the core will still *read* count.  Operand values are read
+    once, when execution starts (``UOp.source_value``), so producer edges
+    are dead for state >= ST_EXECUTING; a producer wakes only dependents
+    still ST_WAITING (and unsquashed), so the rest of the list is inert.
+    Comparing dead edges would demand a fetch-phase alignment that deep
+    out-of-order windows (memops) never reach, without adding soundness."""
+    rob = core.rob
+    index_of: Dict[UOp, int] = {}  # UOp hashes by identity
+    for i, uop in enumerate(rob):
+        if uop.seq != base + i:  # non-contiguous: a squash is in flight
+            return None
+        index_of[uop] = i
+    edges = []
+    retired: List[UOp] = []
+    for uop in rob:
+        producers = []
+        if uop.state < ST_EXECUTING and uop.producers:
+            for reg in sorted(uop.producers):
+                prod = uop.producers[reg]
+                idx = index_of.get(prod)
+                if idx is not None:
+                    producers.append((reg, "r", idx))
+                elif prod.state == ST_DONE and not prod.squashed:
+                    producers.append((reg, "x", prod.seq - base))
+                    retired.append(prod)
+                else:
+                    return None  # squashed leftover: not sigma-comparable
+        deps = []
+        for dep in uop.dependents:
+            if dep.squashed or dep.state != ST_WAITING:
+                continue  # already woken (or dead): never touched again
+            idx = index_of.get(dep)
+            if idx is None:
+                return None  # waiting dependent outside the ROB
+            deps.append(idx)
+        if deps:
+            deps.sort()
+        edges.append((tuple(producers), tuple(deps)))
+    rename = []
+    for reg in sorted(core.reg_producer):
+        idx = index_of.get(core.reg_producer[reg])
+        if idx is None:
+            return None
+        rename.append((reg, idx))
+    lsq = core.lsq
+    loads = tuple(index_of.get(uop, -1) for uop in lsq.loads)
+    stores = tuple(index_of.get(uop, -1) for uop in lsq.stores)
+    if -1 in loads or -1 in stores:
+        return None
+    heaps = []
+    for heap in (core.ready_heap, core.exec_heap):
+        shadow = []
+        for t, seq, uop in heap:
+            idx = index_of.get(uop)
+            if idx is None:
+                return None
+            shadow.append((t, seq, idx))
+        shadow.sort()
+        heaps.append(shadow)
+    return retired, (edges, tuple(rename), loads, stores), heaps
+
+
+# -- snapshot and compare ---------------------------------------------------------
+
+
 def _snapshot_core(core) -> Optional[_Snapshot]:
     """Capture the sigma-comparison baseline, or None if the pipeline holds
     anything the comparison (or the functional evaluator) cannot model."""
     rob = core.rob
     if not rob:
         return None
+    # Only micro-ops lack an instruction, and is_micro is a CLEAN row.
+    uops = list(map(_UOP_EQUAL, rob))
+    writes = list(map(_WRITES.get, map(_OP, rob)))
+    if None in writes or any(map(any, map(_UOP_CLEAN, uops))):
+        return None  # an op the evaluator lacks, or a dirty CLEAN row
     seq0 = rob[0].seq
-    index_of: Dict[int, int] = {}
-    for i, uop in enumerate(rob):
-        if uop.seq != seq0 + i:  # non-contiguous: a squash is in flight
-            return None
-        index_of[id(uop)] = i
-    shots: List[_UopShot] = []
-    for uop in rob:
-        if (
-            uop.op not in SUPPORTED_OPS
-            or uop.is_micro
-            or uop.from_interrupt
-            or uop.squashed
-            or uop.semantic
-            or uop.instr is None
-            or uop.ras_snapshot is not None
-            or uop.src_values
-        ):
-            return None
-        shot = _UopShot(uop, index_of, seq0)
-        if shot.producers is None:
-            return None
-        shots.append(shot)
-    rename: List[Tuple[int, int]] = []
-    for reg in sorted(core.reg_producer):
-        idx = index_of.get(id(core.reg_producer[reg]))
-        if idx is None:
-            return None
-        rename.append((reg, idx))
-    # Shadows are stored in sorted (t, seq) order, not raw heapq array
-    # order: the internal array layout depends on push/pop history, but
-    # heappop only ever sees the sorted order, so that is all sigma needs.
-    ready: List[Tuple[int, int, int]] = []
-    for t, seq, uop in core.ready_heap:
-        idx = index_of.get(id(uop))
-        if idx is None:
-            return None
-        ready.append((t, seq, idx))
-    ready.sort()
-    execq: List[Tuple[int, int, int]] = []
-    for t, seq, uop in core.exec_heap:
-        idx = index_of.get(id(uop))
-        if idx is None:
-            return None
-        execq.append((t, seq, idx))
-    execq.sort()
-    loads_idx = tuple(index_of.get(id(u), -1) for u in core.lsq.loads)
-    stores_idx = tuple(index_of.get(id(u), -1) for u in core.lsq.stores)
-    if -1 in loads_idx or -1 in stores_idx:
+    index = _index(core, seq0)
+    if index is None:
         return None
-
-    snap = _Snapshot()
-    snap.t0 = core.cycle
-    snap.seq0 = seq0
-    snap.seq_next = core._seq
-    snap.shots = shots
-    snap.loads_idx = loads_idx
-    snap.stores_idx = stores_idx
-    snap.ready = ready
-    snap.execq = execq
-    snap.rename = tuple(rename)
-    snap.arch_regs = list(core.arch_regs)
-    snap.fetch_pc = core.fetch_pc
-    snap.iq_count = core.iq_count
-    snap.fetch_stall_until = core.fetch_stall_until
-    snap.current_fetch_line = core._current_fetch_line
-    snap.lpcc = core.last_program_commit_cycle
-    snap.conservative_loads = frozenset(core._conservative_loads)
-    snap.notif_pir = core._notif_pir
-    snap.stats = dict(core.stats.__dict__)
-    u = core.uintr
-    snap.uintr_state = (
-        u.uif,
-        u.uirr,
-        u.handler_index,
-        u.upid_addr,
-        u.uitt_base,
-        u.safepoint_mode,
-        u.ui_return_pc,
-        u.in_handler,
-    )
-    snap.kb_state = _timer_state(u.kb_timer)
-    snap.apic_timer_state = _timer_state(core.apic_timer)
-    pred = core.predictor
-    snap.predictions = pred.predictions
-    snap.mispredictions = pred.mispredictions
-    snap.gshare_table = list(pred.gshare._table)
-    snap.gshare_history = pred.gshare._history
-    snap.btb_tags = list(pred.btb._tags)
-    snap.btb_targets = list(pred.btb._targets)
-    snap.ras_stack = list(pred.ras._stack)
-    icache = core.icache.cache
-    snap.icache_sets = [list(tags) for tags in icache._sets]
-    snap.icache_hits = icache.hits
-    snap.icache_misses = icache.misses
-    uc = core.uop_cache
-    snap.uop_sets = [list(tags) for tags in uc._sets]
-    snap.uop_hits = uc.hits
-    snap.uop_misses = uc.misses
-    snap.remote_misses = core.hierarchy.remote_misses
-    apic = core.apic
-    snap.apic_ctrs = (
-        apic.accepted,
-        apic.forwarded_fast,
-        apic.forwarded_slow,
-        apic.faults_dropped,
-        apic.user_queued,
-    )
-    snap.apic_queue_lens = (len(apic.slow_path_queue), len(apic.kernel_queue))
-    snap.fingerprint = _fingerprint(core)
-    return snap
-
-
-#: CoreStats fields that must not move at all inside a recording window.
-_ZERO_DELTA_STATS = (
-    "squashed_uops",
-    "branch_squashes",
-    "memory_order_squashes",
-    "serialize_stall_cycles",
-    "interrupts_delivered",
-    "interrupt_flushes",
-    "committed_handler_instructions",
-)
-
-
-class _Match:
-    """A confirmed sigma-periodic window: S1 == shift(S0) by (cc, delta)."""
-
-    __slots__ = (
-        "cc",
-        "delta",
-        "ext_fixups",
-        "pred_delta",
-        "icache_hits_d",
-        "icache_misses_d",
-        "uop_hits_d",
-        "uop_misses_d",
-        "fsu_shift",
+    equal = list(_CORE_EQUAL(core))
+    for i, copy in _CORE_COPIES:
+        equal[i] = copy(equal[i])
+    return _Snapshot(
+        core.cycle,
+        seq0,
+        tuple(equal),
+        _CORE_COUNT(core),
+        list(core.arch_regs),
+        uops,
+        list(map(_UOP_EVALUATED, rob)),
+        writes,
+        [(i, _UOP_WAITING(uop)) for i, uop in enumerate(rob) if uop.state == ST_WAITING],
+        index[1],
+        index[2],
+        _fingerprint(core),
     )
 
 
-def _sigma_match(core, snap: _Snapshot, commits: Sequence[UOp]) -> Optional[_Match]:
+def _sigma_match(core, snap: _Snapshot, commits: Sequence[UOp]):
     """Does the core, at this boundary, equal the snapshot shifted by the
-    recording window?  Returns the match descriptor, or None."""
+    recording window?  Returns ``(cc, delta, retired)``, where ``retired``
+    lists ``(producer, window position)`` for each retired producer an
+    in-flight uop still reads, or None."""
     cc = len(commits)
     if cc < 1:
         return None
-    delta = core.cycle - snap.t0  # both ends measured pre-step at a boundary
+    t0 = snap.t0
+    cycle = core.cycle
+    delta = cycle - t0  # both ends measured pre-step at a boundary
     if delta < 1:
         return None
     seq0 = snap.seq0
     rob = core.rob
-    shots = snap.shots
-    if len(rob) != len(shots):
+    if len(rob) != len(snap.uops):
         return None
     # Commit-stream contiguity: exactly the snapshot's oldest cc uops
     # retired, in order, with nothing squashed in between.
     for i, uop in enumerate(commits):
         if uop.seq != seq0 + i:
             return None
-    # Core scalars that must be byte-equal (loop phase) or trivially clean.
-    if (
-        core.halted
-        or core.wait_reason is not None
-        or core.delivery_state is not None
-        or core.current_interrupt is not None
-        or core.interrupt_path
-        or core._last_chain_uop is not None
-        or core._trace_resume_pending
-        or core._serialize_until != -1
-        or core.inject_pos < len(core.inject_queue)
-        or core.macro_pos < len(core.macro_queue)
-        or core.apic._pending
-        or core.fetch_pc != snap.fetch_pc
-        or core.iq_count != snap.iq_count
-        or core._current_fetch_line != snap.current_fetch_line
-        or core._notif_pir != snap.notif_pir
-        or core._seq != snap.seq_next + cc
-        or frozenset(core._conservative_loads) != snap.conservative_loads
-    ):
+    if _CORE_DIRTY(core) or _CORE_EQUAL(core) != snap.equal:
         return None
-    # fetch_stall_until: either inert on both ends, or shifted with time.
-    fsu = core.fetch_stall_until
-    if fsu == snap.fetch_stall_until + delta:
-        fsu_shift = True
-    elif fsu == snap.fetch_stall_until and fsu <= snap.t0:
-        fsu_shift = False
-    else:
-        return None
-    # Stats deltas: pure loop progress, no squashes, no interrupt activity.
-    stats = core.stats.__dict__
-    s0 = snap.stats
-    if (
-        stats["cycles"] - s0["cycles"] != delta
-        or stats["committed_uops"] - s0["committed_uops"] != cc
-        or stats["fetched_uops"] - s0["fetched_uops"] != cc
-        or stats["committed_instructions"] - s0["committed_instructions"] != cc
-    ):
-        return None
-    for name in _ZERO_DELTA_STATS:
-        if stats[name] != s0[name]:
-            return None
-    if core.last_program_commit_cycle != snap.lpcc + delta:
-        return None
-    # Notification state: identical, and quiet.
-    u = core.uintr
-    if (
-        u.in_handler
-        or (
-            u.uif,
-            u.uirr,
-            u.handler_index,
-            u.upid_addr,
-            u.uitt_base,
-            u.safepoint_mode,
-            u.ui_return_pc,
-            u.in_handler,
-        )
-        != snap.uintr_state
-        or _timer_state(u.kb_timer) != snap.kb_state
-        or _timer_state(core.apic_timer) != snap.apic_timer_state
-    ):
-        return None
-    apic = core.apic
-    if (
-        apic.accepted,
-        apic.forwarded_fast,
-        apic.forwarded_slow,
-        apic.faults_dropped,
-        apic.user_queued,
-    ) != snap.apic_ctrs or (
-        len(apic.slow_path_queue),
-        len(apic.kernel_queue),
-    ) != snap.apic_queue_lens:
-        return None
-    if core.hierarchy.remote_misses != snap.remote_misses:
-        return None
-    # Front-end structures: byte-equal (steady loops saturate them).
-    pred = core.predictor
-    if (
-        pred.mispredictions != snap.mispredictions
-        or pred.gshare._history != snap.gshare_history
-        or pred.gshare._table != snap.gshare_table
-        or pred.btb._tags != snap.btb_tags
-        or pred.btb._targets != snap.btb_targets
-        or pred.ras._stack != snap.ras_stack
-    ):
-        return None
-    icache = core.icache.cache
-    uc = core.uop_cache
-    if icache._sets != snap.icache_sets or uc._sets != snap.uop_sets:
-        return None
-    # Per-slot structural comparison against the shifted snapshot.
-    index_of: Dict[int, int] = {}
-    for i, uop in enumerate(rob):
-        if uop.seq != seq0 + cc + i:
-            return None
-        index_of[id(uop)] = i
-    ext_fixups: List[Tuple[UOp, int]] = []
-    for i, live in enumerate(rob):
-        shot = shots[i]
-        if (
-            live.op is not shot.op
-            or live.pc != shot.pc
-            or live.instr is not shot.instr
-            or live.is_micro
-            or live.from_interrupt
-            or live.squashed
-            or live.semantic
-            or live.src_values
-            or live.ras_snapshot is not None
-            or live.macro_first != shot.macro_first
-            or live.macro_last != shot.macro_last
-            or live.dest != shot.dest
-            or live.src_regs != shot.src_regs
-            or live.imm != shot.imm
-            or live.target != shot.target
-            or live.safepoint != shot.safepoint
-            or live.chain != shot.chain
-            or live.uitt_index != shot.uitt_index
-            or live.extra_latency != shot.extra_latency
-            or live.pred_taken != shot.pred_taken
-            or live.pred_target != shot.pred_target
-            or live.history_token != shot.history_token
-            or live.state != shot.state
+    for value, value0, (unit, stale) in zip(_CORE_COUNT(core), snap.count, _CORE_STEPS):
+        if value - value0 != (delta if unit is DELTA else cc) and not (
+            stale and value == value0 <= t0
         ):
             return None
-        # Mirror _UopShot's liveness rules: frontend_ready/wait_count are
-        # read only while ST_WAITING (the wakeup path), producers only
-        # until execution starts, dependents only while still waiting.
-        # complete_cycle is inert after its exec_heap push (the heap entry
-        # carries its own copy and is compared, shifted, below).
-        if live.state == ST_WAITING:
-            if live.wait_count != shot.wait_count:
-                return None
-            # Wakeup uses max(cycle, frontend_ready): a frontend_ready
-            # already in the past (on both sides) can never win that max
-            # again, so only future values must line up shifted.
-            if live.frontend_ready != shot.frontend_ready + delta and not (
-                shot.frontend_ready <= snap.t0 and live.frontend_ready <= core.cycle
-            ):
-                return None
-        prods: List[Tuple[int, str, int]] = []
-        if live.state < ST_EXECUTING:
-            for reg in sorted(live.producers):
-                prod = live.producers[reg]
-                idx = index_of.get(id(prod))
-                if idx is not None:
-                    prods.append((reg, "r", idx))
-                elif prod.state == ST_DONE and not prod.squashed:
-                    q1 = prod.seq - seq0
-                    if not 0 <= q1 < cc:
-                        return None
-                    prods.append((reg, "x", q1 - cc))
-                    ext_fixups.append((prod, q1))
-                else:
+    if list(map(_UOP_EQUAL, rob)) != snap.uops:
+        return None
+    # State is an EQUAL row, so the waiting slots are the snapshot's.
+    for i, waiting in snap.waiting:
+        for value, shot, shifted in zip(_UOP_WAITING(rob[i]), waiting, _WAITING_SHIFTED):
+            if not shifted:
+                if value != shot:
                     return None
-        if tuple(prods) != shot.producers:
-            return None
-        deps: List[int] = []
-        for dep in live.dependents:
-            if dep.squashed or dep.state != ST_WAITING:
-                continue
-            idx = index_of.get(id(dep))
-            if idx is None:
+            elif value != shot + delta and not (shot <= t0 and value <= cycle):
                 return None
-            deps.append(idx)
-        if tuple(sorted(deps)) != shot.dependents:
-            return None
-    # Rename map, LSQ membership, scheduler heaps: same picture, shifted.
-    rename: List[Tuple[int, int]] = []
-    for reg in sorted(core.reg_producer):
-        idx = index_of.get(id(core.reg_producer[reg]))
-        if idx is None:
-            return None
-        rename.append((reg, idx))
-    if tuple(rename) != snap.rename:
+    index = _index(core, seq0 + cc)
+    if index is None or index[1] != snap.refs:
         return None
-    if tuple(
-        index_of.get(id(uq), -1) for uq in core.lsq.loads
-    ) != snap.loads_idx or tuple(
-        index_of.get(id(uq), -1) for uq in core.lsq.stores
-    ) != snap.stores_idx:
-        return None
-    # Heaps are compared in sorted (t, seq) order — the only order heappop
-    # can observe (the internal array layout depends on push/pop history).
-    # Entries already eligible at the snapshot (t0 <= snap.t0) are lagging
-    # backlog: their exact timestamp is dead — pops compare it against the
-    # current cycle, which it is already below on both sides — but their
-    # *relative* order still decides bandwidth-limited pop order, and the
-    # pairwise sorted zip enforces exactly that.  Future entries must shift.
-    for heap, shadow in ((core.ready_heap, snap.ready), (core.exec_heap, snap.execq)):
+    # Heap entries already due at the snapshot are lagging backlog: their
+    # exact time is dead (pops compare it against the current cycle, which
+    # it is already below on both ends) but their *relative* order still
+    # decides bandwidth-limited pop order, which the pairwise sorted zip
+    # enforces.  Future entries must shift.
+    for heap, shadow in zip(index[2], snap.heaps):
         if len(heap) != len(shadow):
             return None
-        for (t, seq, uop), (t0, s0q, idx) in zip(sorted(heap), shadow):
-            if seq != s0q + cc or uop is not rob[idx]:
+        for (t, seq, idx), (ts, seqs, idxs) in zip(heap, shadow):
+            if seq != seqs + cc or idx != idxs:
                 return None
-            if t != t0 + delta and not (t0 <= snap.t0 and t <= core.cycle):
+            if t != ts + delta and not (ts <= t0 and t <= cycle):
                 return None
-
-    match = _Match()
-    match.cc = cc
-    match.delta = delta
-    match.ext_fixups = ext_fixups
-    match.pred_delta = pred.predictions - snap.predictions
-    match.icache_hits_d = icache.hits - snap.icache_hits
-    match.icache_misses_d = icache.misses - snap.icache_misses
-    match.uop_hits_d = uc.hits - snap.uop_hits
-    match.uop_misses_d = uc.misses - snap.uop_misses
-    match.fsu_shift = fsu_shift
-    return match
+    retired = []
+    for prod in index[0]:
+        q1 = prod.seq - seq0
+        if not 0 <= q1 < cc:
+            return None
+        retired.append((prod, q1))
+    return cc, delta, retired
 
 
 def _build_template(commits: Sequence[UOp]) -> Optional[List[Tuple]]:
@@ -800,30 +718,39 @@ def _evaluate(
     return records, regs_at, horizon
 
 
-def _values_ok(u, rec: Tuple, op) -> bool:
-    """Do a ROB slot's data fields agree with the functional record for its
-    position?  (For snapshots `u` is a :class:`_UopShot` — same field names.)"""
-    result, addr, store_value, taken = rec
-    if op in _BRANCH_OPS:
-        # Predicted direction must equal the functional outcome no matter
-        # the state, else a squash is pending inside the replay window.
-        if u.pred_taken != taken or (taken and u.pred_target != u.target):
-            return False
-    if u.state >= ST_EXECUTING:
-        if op is Op.LOAD:
-            return u.addr == addr and u.result == result
-        if op is Op.STORE:
-            return u.addr == addr and u.store_value == store_value
+def _values_ok(equals: Sequence[Tuple], evaluated: Sequence[Tuple], records) -> bool:
+    """Do the ROB slots' EVALUATED rows agree with the functional records
+    for their positions?  ``equals`` holds each slot's ``_UOP_EQUAL``
+    tuple; ``records`` yields the record of slot 0, 1, ... in order."""
+    for equal, values, rec in zip(equals, evaluated, records):
+        op = equal[_OP_AT]
+        target = equal[_TARGET_AT]
+        result, addr, store_value, actual_taken, actual_target = values
+        r_result, r_addr, r_store_value, taken = rec
         if op in _BRANCH_OPS:
-            return u.actual_taken == taken and u.actual_target == u.target
-        return u.result == result
-    return (
-        u.result == 0
-        and u.addr is None
-        and u.store_value == 0
-        and not u.actual_taken
-        and u.actual_target is None
-    )
+            # Predicted direction must equal the functional outcome no
+            # matter the state, else a squash is pending inside the window.
+            if equal[_PRED_TAKEN_AT] != taken or (taken and equal[_PRED_TARGET_AT] != target):
+                return False
+        if equal[_STATE_AT] < ST_EXECUTING:
+            ok = (
+                result == 0
+                and addr is None
+                and store_value == 0
+                and not actual_taken
+                and actual_target is None
+            )
+        elif op is Op.LOAD:
+            ok = addr == r_addr and result == r_result
+        elif op is Op.STORE:
+            ok = addr == r_addr and store_value == r_store_value
+        elif op in _BRANCH_OPS:
+            ok = actual_taken == taken and actual_target == target
+        else:
+            ok = result == r_result
+        if not ok:
+            return False
+    return True
 
 
 class _CacheOverlay:
@@ -1018,7 +945,7 @@ class MacroController:
                 or core.apic._pending
                 or core.wait_reason is not None
                 or core.delivery_state is not None
-                or core.stats.squashed_uops != snap.stats["squashed_uops"]
+                or core.stats.squashed_uops != snap.equal[_SQUASHED]
             ):
                 self._abort_form()
                 return 0
@@ -1122,11 +1049,10 @@ class MacroController:
         self._scanning = True
         self._scan_deadline = cycle + MAX_SCAN
 
-    def _replay(self, match: _Match, cycle: int, end: int) -> int:
+    def _replay(self, match: Tuple, cycle: int, end: int) -> int:
         core = self.core
         snap = self._snap
-        cc = match.cc
-        delta = match.delta
+        cc, delta, _ = match
         rob_len = len(core.rob)
 
         # Period budget from every notification-visible horizon.  Landing
@@ -1170,7 +1096,7 @@ class MacroController:
             return 0
         horizon = (n_bound + 1) * cc + rob_len
         records, regs_at, f = _evaluate(
-            body, snap.arch_regs, horizon, core.shared.read, delta
+            body, snap.regs, horizon, core.shared.read, delta
         )
         # The recorded window itself must be reproducible: the evaluator's
         # registers after one period must equal the live register file.
@@ -1194,16 +1120,14 @@ class MacroController:
             self._abort_form()
             return 0
         # Every in-flight value (snapshot and live ends) must agree with the
-        # functional stream at its window position.
-        shots = snap.shots
-        for i, live in enumerate(core.rob):
-            op = shots[i].op
-            if not _values_ok(shots[i], records[i], op) or not _values_ok(
-                live, records[cc + i], op
-            ):
-                GLOBAL_COUNTERS.macro_form_aborts += 1
-                self._reset()
-                return 0
+        # functional stream at its window position.  The live slots' EQUAL
+        # rows are the snapshot's: sigma matched.
+        if not _values_ok(snap.uops, snap.evaluated, records) or not _values_ok(
+            snap.uops, list(map(_UOP_EVALUATED, core.rob)), islice(records, cc, None)
+        ):
+            GLOBAL_COUNTERS.macro_form_aborts += 1
+            self._reset()
+            return 0
         GLOBAL_COUNTERS.macro_formations += 1
 
         if f < horizon:
@@ -1241,11 +1165,9 @@ class MacroController:
     def _apply(self, match, records, regs_at, body, n, dcache_ov, l2_ov) -> None:
         """Jump the core from S1 to sigma^n(S1) in place."""
         core = self.core
-        snap = self._snap
-        cc = match.cc
-        shift_cycles = n * match.delta
-        shift_seq = n * cc
-        # Architectural registers and the committed store write-set.
+        cc, delta, retired = match
+        shift = {DELTA: n * delta, CC: n * cc}
+        # EVALUATED rows: registers and the committed store write-set.
         core.arch_regs[:] = regs_at[n + 1]
         store_slots = [j for j in range(cc) if body[j][0] is Op.STORE]
         if store_slots:
@@ -1256,52 +1178,30 @@ class MacroController:
                 for j in store_slots:
                     rec = records[base + j]
                     shared.write(rec[1], rec[2] & MASK64, core_id=core_id)
-        # Model counters: n more windows' worth of deltas.
-        stats = core.stats.__dict__
-        s0 = snap.stats
-        for name in s0:
-            stats[name] += (stats[name] - s0[name]) * n
-        core.cycle += shift_cycles
-        core._seq += shift_seq
-        core.last_program_commit_cycle += shift_cycles
-        if match.fsu_shift:
-            core.fetch_stall_until += shift_cycles
-        core.predictor.predictions += match.pred_delta * n
-        icache = core.icache.cache
-        icache.hits += match.icache_hits_d * n
-        icache.misses += match.icache_misses_d * n
-        uc = core.uop_cache
-        uc.hits += match.uop_hits_d * n
-        uc.misses += match.uop_misses_d * n
-        # In-flight uops: shift timestamps/sequence, refresh data fields from
-        # the functional stream at their new window positions.
+        # In-flight uops: SHIFTED rows move n units, EVALUATED rows take the
+        # functional stream's values at their new window positions, as do
+        # the retired producers they read.
+        rob = core.rob
+        waiting = [rob[i] for i, _ in self._snap.waiting]
+        for name, unit, get, only_waiting in _UOP_SHIFTS:
+            by = shift[unit]
+            for uop in waiting if only_waiting else rob:
+                setattr(uop, name, get(uop) + by)
         base = (n + 1) * cc
-        for i, uop in enumerate(core.rob):
-            uop.seq += shift_seq
-            uop.frontend_ready += shift_cycles
-            if uop.complete_cycle != -1:
-                uop.complete_cycle += shift_cycles
+        for i, (uop, writes) in enumerate(zip(rob, self._snap.writes)):
             if uop.state >= ST_EXECUTING:
-                result, addr, store_value, taken = records[base + i]
-                op = uop.op
-                if op is Op.LOAD:
-                    uop.addr = addr
-                    uop.result = result
-                elif op is Op.STORE:
-                    uop.addr = addr
-                    uop.store_value = store_value
-                elif op in _BRANCH_OPS:
-                    uop.actual_taken = taken
-                else:
-                    uop.result = result
-        for prod, q1 in match.ext_fixups:
-            prod.result = records[q1 + shift_seq][0]
-        core.ready_heap[:] = [
-            (t + shift_cycles, s + shift_seq, u) for (t, s, u) in core.ready_heap
-        ]
-        core.exec_heap[:] = [
-            (t + shift_cycles, s + shift_seq, u) for (t, s, u) in core.exec_heap
-        ]
+                rec = records[base + i]
+                for name, slot in writes:
+                    setattr(uop, name, rec[slot])
+        for prod, q1 in retired:
+            prod.result = records[q1 + shift[CC]][0]
+        # SHIFTED and ADVANCED rows: n more windows' worth of their delta.
+        for (owner, name), value, value0 in zip(
+            _COUNT_SETTERS, _CORE_COUNT(core), self._snap.count
+        ):
+            if value != value0:
+                setattr(core if owner is None else owner(core), name, value + (value - value0) * n)
+        core.ready_heap[:] = [(t + shift[DELTA], s + shift[CC], u) for t, s, u in core.ready_heap]
+        core.exec_heap[:] = [(t + shift[DELTA], s + shift[CC], u) for t, s, u in core.exec_heap]
         dcache_ov.flush_into_real()
         l2_ov.flush_into_real()
-

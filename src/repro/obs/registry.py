@@ -104,10 +104,6 @@ class MetricsRegistry:
             counters = GLOBAL_COUNTERS
         self.absorb_mapping("engine", counters.as_dict())
 
-    def absorb_injection_counters(self, counters: Any) -> None:
-        """Pull in a :class:`repro.faults.injector.InjectionCounters`."""
-        self.absorb_mapping("faults", counters.as_dict())
-
     # -- reading -------------------------------------------------------------
 
     def counter_value(self, name: str) -> int:

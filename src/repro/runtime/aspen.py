@@ -318,7 +318,3 @@ class AspenRuntime:
             for t in self.completed
             if kind is None or t.kind == kind
         ]
-
-    def total_queued(self) -> int:
-        running = sum(1 for w in self.workers if w.current is not None)
-        return running + sum(len(w.queue) for w in self.workers)

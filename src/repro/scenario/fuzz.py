@@ -34,7 +34,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.counters import ENV_FAST, ENV_MACRO
@@ -115,9 +115,6 @@ class FuzzFinding:
             "scenario": self.scenario.to_json(),
             "scenario_id": self.scenario.content_id(),
         }
-
-    def with_scenario(self, scenario: Scenario) -> "FuzzFinding":
-        return replace(self, scenario=scenario)
 
 
 def _make_finding(scenario: Scenario, kind: str, leg: str, detail: str) -> FuzzFinding:

@@ -103,10 +103,6 @@ class LocalApic:
         self.forwarding_enabled = bitfield.set_bit(self.forwarding_enabled, vector)
         self.forward_user_vector[vector] = user_vector
 
-    def disable_forwarding(self, vector: int) -> None:
-        self.forwarding_enabled = bitfield.clear_bit(self.forwarding_enabled, vector)
-        self.forward_user_vector.pop(vector, None)
-
     def set_active_vectors(self, active_mask: int) -> None:
         """Write ``forwarded_active`` — done by the kernel on context switch
         with the resuming thread's 256-bit vector mask (§4.5)."""

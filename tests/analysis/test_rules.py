@@ -28,7 +28,6 @@ ALL_RULE_IDS = (
     "PRO102",
     "PRO103",
     "PRO104",
-    "STA201",
     "STA202",
     "STA204",
     "STA205",
@@ -200,22 +199,6 @@ def test_real_scenario_modules_scan_clean():
     )
     assert report.ok
     assert report.new_findings == []
-
-
-def test_sta201_names_the_uncovered_field():
-    report = scan("sta201_bad.py")
-    messages = [f.message for f in report.new_findings if f.rule_id == "STA201"]
-    assert any("spill_mask" in m and "MiniCore" in m for m in messages)
-    # Covered fields stay out of the report.
-    assert not any("fetch_pc" in m for m in messages)
-
-
-def test_sta201_flags_stale_exemptions():
-    # An exemption naming a field that no longer exists is itself a finding:
-    # the manifest must shrink with the model.
-    report = scan("sta201_stale_exempt.py")
-    messages = [f.message for f in report.new_findings if f.rule_id == "STA201"]
-    assert any("stale exemption" in m and "gone_field" in m for m in messages)
 
 
 def test_sta202_catches_note_skipped_regression_shape():

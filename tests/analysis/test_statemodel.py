@@ -29,7 +29,7 @@ from repro.analysis.statemodel import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
-GOLDEN_PAIR = [FIXTURES / "sta201_good.py", FIXTURES / "sta205_good.py"]
+GOLDEN_PAIR = [FIXTURES / "sta202_good.py", FIXTURES / "sta205_good.py"]
 
 
 def _source(module: str, text: str) -> ModuleSource:
@@ -205,4 +205,4 @@ def test_statemodel_out_flag_writes_artifact(tmp_path, capsys):
     assert "wrote state model" in capsys.readouterr().err
     payload = json.loads(out.read_text())
     assert payload["schema"] == STATE_SCHEMA_VERSION
-    assert {c["class"] for c in payload["classes"]} == {"MiniCore", "EngineCore"}
+    assert {c["class"] for c in payload["classes"]} == {"LoopCore", "EngineCore"}

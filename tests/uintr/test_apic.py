@@ -56,13 +56,6 @@ class TestForwarding:
         assert len(apic.slow_path_queue) == 1
         assert apic.forwarded_slow == 1
 
-    def test_disable_forwarding(self):
-        apic = LocalApic(0)
-        apic.enable_forwarding(40, user_vector=3)
-        apic.disable_forwarding(40)
-        apic.accept(40, time=0.0, kind=InterruptKind.DEVICE)
-        assert len(apic.kernel_queue) == 1
-
     def test_unmapped_vector_not_forwarded(self):
         apic = LocalApic(0)
         apic.enable_forwarding(40, user_vector=3)
