@@ -16,7 +16,9 @@ speedup gate.  The dense compute benches (``count_loop_kb_timer``,
 (``REPRO_MACRO``, see ``repro.cpu.macroop``) landed: a pipeline that is
 busy every cycle has nothing to *skip*, but a steady-state loop body can
 be *replayed* in O(1) per iteration.  ``sec61_tracked_chain50`` gates the
-same tier on a spin loop that reads the clock beside a live neighbour.
+same tier on a spin loop that reads the clock beside a sleeping
+neighbour, and ``fig4_count_loop_uipi_timer`` on two cores that loop every
+cycle and replay in one joint window.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_report.py``) or via
 pytest (``python -m pytest benchmarks/bench_report.py``).
@@ -226,6 +228,28 @@ def _bench_sec61_tracked_chain50() -> Any:
     return payload
 
 
+def _bench_fig4_count_loop_uipi_timer() -> Any:
+    """Figure 4's ``uipi_sw_timer`` cell at quick scale: a 14,000-iteration
+    count loop under flush delivery beside the rdtsc-spinning UIPI timer
+    core.  Both cores loop every cycle, so the fast engine has nothing to
+    skip; the gain comes from the macro tier replaying the two loops in one
+    joint window up to each send.  The trace is compared too."""
+    iterations = 14_000
+    result = cycletier.run_with_uipi_timer(
+        mb.make_count_loop(iterations),
+        FlushStrategy(),
+        trace=True,
+        expected_cycles=iterations,
+    )
+    system = result.system
+    payload = _many_core_payload(system)
+    payload["trace"] = [
+        (event.time, event.kind, tuple(sorted(event.detail.items())))
+        for event in system.trace.events
+    ]
+    return payload
+
+
 #: (name, runner, gated): gated benches must clear :data:`GATED_SPEEDUP`.
 BENCHES: Tuple[Tuple[str, Callable[[], Any], bool], ...] = (
     ("pointer_chase_baseline", _bench_pointer_chase_baseline, True),
@@ -236,6 +260,7 @@ BENCHES: Tuple[Tuple[str, Callable[[], Any], bool], ...] = (
     ("fig7_rocksdb_16core", _bench_fig7_rocksdb_16core, True),
     ("l3fwd_8core_sweep", _bench_l3fwd_8core_sweep, True),
     ("sec61_tracked_chain50", _bench_sec61_tracked_chain50, True),
+    ("fig4_count_loop_uipi_timer", _bench_fig4_count_loop_uipi_timer, True),
 )
 
 

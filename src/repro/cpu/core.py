@@ -240,10 +240,10 @@ class Core:
         #: ("flush"), and at uiret commit ("uiret").  Probes must only read
         #: state — simulated results stay byte-identical with or without one.
         self.invariant_probe: Optional[Callable[[str, "Core"], None]] = None
-        #: Macro-op trace tier (``repro.cpu.macroop``): the controller the
-        #: multi-core fast path installs when ``REPRO_MACRO`` is on, and the
-        #: active recording's memory-access log (a list, or None when not
-        #: recording).  Both are engine plumbing — never simulated state.
+        #: Macro-op trace tier (``repro.cpu.macroop``): this core's recorder,
+        #: which the multi-core fast path installs when ``REPRO_MACRO`` is on,
+        #: and the active recording's memory-access log (a list, or None when
+        #: not recording).  Both are engine plumbing — never simulated state.
         self._macro = None
         self._macro_rec: Optional[list] = None
 
@@ -501,13 +501,14 @@ class Core:
                 self.stats.committed_instructions += 1
                 self.last_program_commit_cycle = self.cycle
         # Macro-op trace tier: feed the recorder while scanning, else count
-        # committed taken backward branches toward the hotness threshold.
+        # committed taken backward branches (conditional or JMP) toward the
+        # hotness threshold.
         mac = self._macro
         if mac is not None:
             if mac._scanning:
                 mac._commits.append(uop)
             elif (
-                uop.is_cond_branch
+                (uop.is_cond_branch or op is Op.JMP)
                 and uop.actual_taken
                 and not uop.is_micro
                 and not uop.from_interrupt

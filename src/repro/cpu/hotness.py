@@ -1,10 +1,11 @@
 """Hot-block detection for the macro-op trace tier (``REPRO_MACRO``).
 
-The detector counts *committed, taken, backward* conditional branches per
-branch PC — the classic trace-cache heuristic: a taken backward branch marks
-a loop back-edge, and a back-edge that commits ``HOT_THRESHOLD`` times
-without the counters being reset identifies a steady-state loop body worth
-promoting to a macro-op (see ``repro.cpu.macroop``).
+The detector counts *committed, taken, backward* branches (conditional or
+``JMP``) per branch PC — the classic trace-cache heuristic: a taken
+backward branch marks a loop back-edge, and a back-edge that commits
+``HOT_THRESHOLD`` times without the counters being reset identifies a
+steady-state loop body worth promoting to a macro-op (see
+``repro.cpu.macroop``).
 
 Counting happens at *commit* (never on the speculative path), so wrong-path
 back-edges cannot arm the recorder.  The tracker is deliberately free of any

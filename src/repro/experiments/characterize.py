@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.apps import microbench as mb
 from repro.cpu import isa
 from repro.cpu.delivery import DrainStrategy, FlushStrategy, TrackedStrategy
 from repro.cpu.multicore import MultiCoreSystem
-from repro.cpu.program import ProgramBuilder
+from repro.cpu.program import Program, ProgramBuilder
 from repro.experiments import cycletier
 from repro.obs.latency import pair_latencies
 from repro.perf import SweepRunner
@@ -96,8 +96,9 @@ def measure_senduipi_cost(count: int = 50) -> float:
     return default_cache().memoize(payload, live)["cycles"] / count
 
 
-def measure_end_to_end_latency(samples: int = 10, gap: int = 4000) -> float:
-    """senduipi issue to handler entry on the receiver (Table 2 e2e)."""
+def _end_to_end_programs(samples: int, gap: int) -> Tuple[Program, Program]:
+    """Table 2's end-to-end pair: the sender issues ``samples`` UIPIs
+    ``gap`` cycles apart; the receiver counts in an ``addi; jmp`` loop."""
     sender = ProgramBuilder("e2e_sender")
     sender.emit(isa.movi(6, 0))
     for i in range(samples):
@@ -112,20 +113,30 @@ def measure_end_to_end_latency(samples: int = 10, gap: int = 4000) -> float:
     receiver.emit(isa.addi(1, 1, 1))
     receiver.emit(isa.jmp("loop"))
     receiver.emit_default_handler()
-    sender_program = sender.build()
-    receiver_program = receiver.build()
+    return sender.build(), receiver.build()
+
+
+def run_end_to_end_pair(samples: int = 10, gap: int = 4000) -> MultiCoreSystem:
+    """The end-to-end pair on cores 0 and 1, traced: run until the sender
+    halts, then 8,000 cycles for the last delivery to land."""
+    system = MultiCoreSystem(
+        list(_end_to_end_programs(samples, gap)),
+        [FlushStrategy(), FlushStrategy()],
+        trace=True,
+    )
+    system.connect_uipi(0, 1, user_vector=1)
+    system.run(cycletier.MAX_CYCLES, until_halted=[0])
+    system.run(8000)
+    return system
+
+
+def measure_end_to_end_latency(samples: int = 10, gap: int = 4000) -> float:
+    """senduipi issue to handler entry on the receiver (Table 2 e2e)."""
 
     def live() -> Dict[str, float]:
         # The measurement needs the live trace, but the *derived* latency is
         # deterministic, so the scalar itself is cacheable.
-        system = MultiCoreSystem(
-            [sender_program, receiver_program],
-            [FlushStrategy(), FlushStrategy()],
-            trace=True,
-        )
-        system.connect_uipi(0, 1, user_vector=1)
-        system.run(cycletier.MAX_CYCLES, until_halted=[0])
-        system.run(8000)
+        system = run_end_to_end_pair(samples, gap)
         sends = [e.time for e in system.trace.events if e.kind == "senduipi_start" and e.detail.get("core") == 0]
         entries = [e.time for e in system.trace.events if e.kind == "handler_fetch" and e.detail.get("core") == 1]
         if not sends or not entries:
@@ -137,7 +148,7 @@ def measure_end_to_end_latency(samples: int = 10, gap: int = 4000) -> float:
 
     payload = {
         "kind": "e2e_latency",
-        "programs": [sender_program, receiver_program],
+        "programs": list(_end_to_end_programs(samples, gap)),
         "samples": samples,
         "gap": gap,
     }

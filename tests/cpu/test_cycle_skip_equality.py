@@ -5,8 +5,9 @@ skipped in bulk, decode is served from memoized templates, the event tier
 fast-forwards — but must never change *what* is simulated.  This suite runs
 the same cell twice, once under the naive stepper (``REPRO_FAST=0``) and
 once under the skipping engine, and requires byte-identical results:
-final cycle counts, the full :class:`CoreStats` snapshot of every core, and
-every interrupt-delivery trace timestamp.
+final cycle counts, the full :class:`CoreStats` snapshot of every core,
+every interrupt-delivery trace timestamp, and the architectural state
+(every core's registers and a digest of the shared memory words).
 
 Cells cover each microbenchmark under all three delivery strategies
 (flush / drain / tracked), with the interrupt source being either a
@@ -20,6 +21,8 @@ happen while other cores sit quiescent.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -48,7 +51,9 @@ STRATEGIES = {
 
 
 def _view(system: MultiCoreSystem):
-    """Everything an equality check could care about."""
+    """Everything an equality check could care about: cycles, stats, the
+    trace, every core's registers and a digest of the shared memory."""
+    words = repr(system.shared.snapshot_words()).encode()
     return {
         "cycles": system.cycle,
         "stats": [dict(c.stats.snapshot().__dict__) for c in system.cores],
@@ -56,6 +61,8 @@ def _view(system: MultiCoreSystem):
             (event.time, event.kind, tuple(sorted(event.detail.items())))
             for event in system.trace.events
         ],
+        "regs": [list(c.arch_regs) for c in system.cores],
+        "memory": hashlib.sha256(words).hexdigest(),
     }
 
 
@@ -107,6 +114,8 @@ def test_fast_engine_matches_naive(monkeypatch, workload, strategy, kb_timer, sa
     assert fast["cycles"] == naive["cycles"]
     assert fast["stats"] == naive["stats"]
     assert fast["trace"] == naive["trace"]
+    assert fast["regs"] == naive["regs"]
+    assert fast["memory"] == naive["memory"]
 
 
 def test_interrupts_actually_delivered(monkeypatch):
@@ -165,6 +174,8 @@ def test_multicore_fast_matches_naive(monkeypatch, strategy, interval, cores_n):
     assert fast["cycles"] == naive["cycles"]
     assert fast["stats"] == naive["stats"]
     assert fast["trace"] == naive["trace"]
+    assert fast["regs"] == naive["regs"]
+    assert fast["memory"] == naive["memory"]
 
 
 def test_multicore_cell_is_not_vacuous(monkeypatch):

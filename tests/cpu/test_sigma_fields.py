@@ -283,10 +283,11 @@ def test_replay_lands_on_the_naive_state(monkeypatch):
     real_apply = MacroController._apply
     landed = {}
 
-    def apply(self, *args):
-        real_apply(self, *args)
-        landed["cycle"] = self.core.cycle
-        landed["view"] = _core_view(self.core)
+    def apply(self, plans, n):
+        real_apply(self, plans, n)
+        (core,) = [plan.core for plan in plans]
+        landed["cycle"] = core.cycle
+        landed["view"] = _core_view(core)
         raise _Stop
 
     monkeypatch.setattr(MacroController, "_apply", apply)
