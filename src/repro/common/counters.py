@@ -104,6 +104,8 @@ class EngineCounters:
     macro_bail_divergence: int = 0
     #: Replay bails: run horizon / watch boundary reached.
     macro_bail_horizon: int = 0
+    #: Loop-body positions the replay evaluator stepped (records produced).
+    macro_evaluated_positions: int = 0
 
     def reset(self) -> None:
         for f in fields(self):

@@ -29,11 +29,17 @@ rather than the simulated frontend:
    produce its committed register/memory write-set per period, while a
    copy-on-write cache overlay proves every load/store latency repeats.
    ``RDTSC`` is clock-affine: sigma shifts every timestamp by ``delta``,
-   so period ``k`` reads the recorded value plus ``k * delta``.  The
-   period count ``n`` is capped by every notification-visible horizon:
-   run end, the event timeline (fault injections, watches), each window
-   core's armed timer deadlines and functional exit, and every sleeping
-   core's next activity.  The global clock then jumps ``n * delta``.
+   so period ``k`` reads the recorded value plus ``k * delta``.  A
+   load-free body whose registers are affine in ``k`` (count loops,
+   ``rdtsc; blt`` spinners) is not stepped to its exit: one symbolic
+   pass gives each register's stride, integer division the first period
+   a branch flips, and the evaluator steps only the recorded window, the
+   exit's period and the positions the apply reads after ``n`` periods,
+   so a replay's cost does not grow with ``n``.  The period count ``n``
+   is capped by every notification-visible horizon: run end, the event
+   timeline (fault injections, watches), each window core's armed timer
+   deadlines and functional exit, and every sleeping core's next
+   activity.  The global clock then jumps ``n * delta``.
 5. **Bail** — anything else — a pending interrupt, an armed fault
    interceptor, a latency or branch divergence, a sleeper that steps —
    either blocks formation or caps ``n``, and the interpreter resumes at
@@ -64,6 +70,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.counters import GLOBAL_COUNTERS
+from repro.common.errors import SimulationError
 from repro.cpu.backend import ST_DONE, ST_EXECUTING, ST_WAITING, UOp
 from repro.cpu.delivery import DrainStrategy, FlushStrategy, TrackedStrategy
 from repro.cpu.hotness import HotnessTracker
@@ -647,24 +654,44 @@ class _Evaluation:
     period ``k = p // cc`` reads its recorded value plus ``k * delta``:
     sigma shifts every timestamp by ``delta`` cycles per period.
 
-    ``records[p]`` is ``(result, addr, store_value, taken)``; ``exit`` is
-    the first position whose behaviour leaves the recorded loop (a branch
-    off the body, or a load aliasing an earlier replayed store), or None
-    while none has.  Loads read live shared memory; the alias guard makes
-    that sound by fencing ``exit`` below any position that could observe a
-    deferred store.  :func:`_regs_after` reads the register file off the
-    records."""
+    ``records`` holds ``(result, addr, store_value, taken)`` of positions
+    ``start``, ``start + 1``, ...; ``exit`` is the first position whose
+    behaviour leaves the recorded loop (a branch off the body, or a load
+    aliasing an earlier replayed store), or None while none has.  Loads
+    read live shared memory; the alias guard makes that sound by fencing
+    ``exit`` below any position that could observe a deferred store.
 
-    __slots__ = ("body", "regs", "records", "exit", "_read", "_delta", "_store_words")
+    A load-free body whose registers are affine in the period (see
+    :func:`_affine`) need not be stepped to its exit: :meth:`solve` finds
+    the exit in closed form and :meth:`seek` jumps the register file to any
+    period, so only the positions a replay reads are stepped
+    (:meth:`settle`).  Stepping stays the only source of records."""
+
+    __slots__ = (
+        "body",
+        "regs0",
+        "regs",
+        "records",
+        "start",
+        "exit",
+        "_read",
+        "_delta",
+        "_store_words",
+        "_form",
+    )
 
     def __init__(self, body: Sequence[Tuple], regs0: Sequence[int], shared_read, delta: int):
         self.body = body
+        self.regs0 = regs0
         self.regs = list(regs0)
         self.records: List[Tuple] = []
+        self.start = 0
         self.exit: Optional[int] = None
         self._read = shared_read
         self._delta = delta
         self._store_words: set = set()
+        #: The closed form once :meth:`solve` found one, else None.
+        self._form: Optional[_Affine] = None
 
     def extend(self, horizon: int) -> None:
         """Evaluate on to position ``horizon`` (or to the exit)."""
@@ -683,7 +710,8 @@ class _Evaluation:
         # windows.
         is_branch = [slot[0] in _BRANCH_OPS for slot in body]
         next_on_body = [body[(j + 1) % cc][5] for j in range(cc)]
-        p = len(records)
+        before = len(records)
+        p = self.start + before
         j = p % cc
         while p < horizon:
             op, dest, src_regs, imm, target, pc = body[j]
@@ -698,7 +726,7 @@ class _Evaluation:
                     addr = imm
                 if (addr & ~0x7) in store_words:
                     self.exit = p
-                    return
+                    break
                 result = shared_read(addr)
             elif op is Op.STORE:
                 if src_regs:
@@ -754,23 +782,220 @@ class _Evaluation:
             next_pc = target if taken else pc + 1
             if next_pc != next_on_body[j]:
                 self.exit = p
-                return
+                break
             p += 1
             j += 1
             if j == cc:
                 j = 0
+        GLOBAL_COUNTERS.macro_evaluated_positions += len(records) - before
+
+    def regs_after(self, m: int) -> List[int]:
+        """The register file after ``m >= 1`` full periods: every register
+        the body writes holds its last writer's result in period ``m - 1``
+        (whose records must be present)."""
+        regs = list(self.regs0)
+        records = self.records
+        base = (m - 1) * len(self.body) - self.start
+        for j, slot in enumerate(self.body):
+            dest = slot[1]
+            if dest is not None:
+                regs[dest] = records[base + j][0] & MASK64
+        return regs
+
+    def solve(self, horizon: int) -> bool:
+        """Find the exit before position ``horizon`` in closed form, for a
+        body :func:`_affine` solves, and step the period holding it, which
+        must exit at exactly that position.  Call it once the first
+        ``cc + rob_len`` positions are evaluated without an exit.  Returns
+        False, changing nothing, when the body has no closed form or an
+        operand could leave the signed 64-bit range before the exit (or
+        before ``horizon``)."""
+        form = _affine(self.body, self.regs0, self._delta)
+        if form is None:
+            return False
+        cc = len(self.body)
+        last = (horizon - 1) // cc  # the last period holding a position before horizon
+        exit = None
+        for slot, flip, a, b in form.exits:
+            k = _first_flip(flip, a, b)
+            if k is not None and k <= last and (exit is None or k * cc + slot < exit):
+                exit = k * cc + slot
+        if exit is not None and exit >= horizon:
+            exit = None
+        end = last if exit is None else exit // cc
+        for a, b in form.operands:
+            if not (-(1 << 63) <= a + b < 1 << 63 and -(1 << 63) <= a + end * b < 1 << 63):
+                return False
+        self._form = form
+        if exit is not None:
+            if exit < self.start + len(self.records):
+                raise SimulationError(f"solved exit {exit} lies in the stepped prefix")
+            self.seek(exit // cc)
+            self.extend(exit + 1)
+            if self.exit != exit:
+                raise SimulationError(f"solved exit {exit}, stepped exit {self.exit}")
+        return True
+
+    def seek(self, period: int) -> None:
+        """Restart a solved evaluation at the start of ``period``, with its
+        records dropped."""
+        regs = list(self.regs0)
+        if period:
+            for reg, base, stride in self._form.regs:
+                regs[reg] = (base + period * stride) & MASK64
+        self.regs = regs
+        self.records = []
+        self.start = period * len(self.body)
+        self.exit = None
+
+    def settle(self, n: int, rob_len: int) -> None:
+        """Make present the records a replay of ``n`` periods reads, those
+        of positions ``[n * cc, (n + 1) * cc + rob_len)``: a stepped
+        evaluation holds them already, a solved one steps them afresh from
+        period ``n``, where its exit must not lie."""
+        if self._form is None:
+            return
+        exit = self.exit
+        self.seek(n)
+        self.extend((n + 1) * len(self.body) + rob_len)
+        if self.exit is not None:
+            raise SimulationError(f"stepped exit {self.exit} before the solved one ({exit})")
+        self.exit = exit
 
 
-def _regs_after(body: Sequence[Tuple], regs0: Sequence[int], records, m: int) -> List[int]:
-    """The register file after ``m >= 1`` full periods: every register the
-    body writes holds its last writer's result in period ``m - 1``."""
-    regs = list(regs0)
-    base = (m - 1) * len(body)
-    for j, slot in enumerate(body):
-        dest = slot[1]
+#: A branch condition on ``lhs - rhs`` and its negation.
+_NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<"}
+_CONDITION = {Op.BEQ: "==", Op.BNE: "!=", Op.BLT: "<", Op.BGE: ">="}
+
+
+class _Affine(NamedTuple):
+    """A body's registers as affine functions of the period index ``k``,
+    valid from period 1 on (period 0 reads the snapshot's registers)."""
+
+    regs: Tuple[Tuple[int, int, int], ...]  # (reg, base, stride): base + k * stride at period start
+    operands: Tuple[Tuple[int, int], ...]  # each value a slot reads, as (base, stride)
+    exits: Tuple[Tuple[int, Optional[str], int, int], ...]  # (slot, flip, base, stride)
+
+
+def _affine(body: Sequence[Tuple], regs0: Sequence[int], delta: int) -> Optional[_Affine]:
+    """Solve a load-free body whose registers are affine in the period, or
+    return None.  Its ops may be ADD/SUB of an immediate or of a register
+    that holds the same value every period, MOV, MOVI, RDTSC (its reading
+    plus ``k * delta``), conditional branches and JMP.
+
+    One symbolic pass writes every value as ``(reg, a, b)``: the start-of-
+    period value of a register the body writes (None: zero) plus
+    ``a + k * b``.  At the period's end each written register must hold
+    itself plus a stride, or something built from constants, the clock
+    and such self-strided registers.  Values are signed: an operand inside
+    the signed 64-bit range equals what the stepper compares, so a branch
+    on ``lhs - rhs`` flips where a linear function of ``k`` crosses zero.
+    Each exit row gives a slot's flip condition on ``base + k * stride``
+    (None: the slot leaves the body every period)."""
+    written = {slot[1] for slot in body if slot[1] is not None}
+    cur: Dict[int, Tuple] = {reg: (reg, 0, 0) for reg in written}
+    zero = (None, 0, 0)
+    reads: List[Tuple] = []
+    branches = []
+    cc = len(body)
+    for j, (op, dest, src_regs, imm, target, pc) in enumerate(body):
+        srcs = [cur[reg] if reg in written else (None, _signed(regs0[reg]), 0) for reg in src_regs]
+        reads += srcs
+        next_pc = body[(j + 1) % cc][5]
+        if op is Op.ADD or op is Op.SUB:
+            a = srcs[0] if srcs else zero
+            b = srcs[1] if len(srcs) > 1 else (None, _signed(imm & MASK64), 0)
+            if op is Op.SUB:
+                if b[0] is not None:
+                    return None  # minus a register: not one stride per period
+                value = (a[0], a[1] - b[1], a[2] - b[2])
+            elif a[0] is not None and b[0] is not None:
+                return None
+            else:
+                value = (a[0] if b[0] is None else b[0], a[1] + b[1], a[2] + b[2])
+        elif op is Op.MOV:
+            value = srcs[0]
+        elif op is Op.MOVI:
+            value = (None, _signed(imm & MASK64), 0)
+        elif op is Op.RDTSC:
+            value = (None, _signed(imm & MASK64), delta)
+        elif op is Op.JMP:
+            if target != next_pc:
+                branches.append((j, None, zero, zero))
+            continue
+        elif op in _CONDITION:
+            if len(srcs) > 1:
+                rhs = srcs[1]
+            elif (op is Op.BEQ or op is Op.BNE) and not 0 <= imm <= MASK64:
+                return None  # never equal to a register: leave it to the stepper
+            else:
+                rhs = (None, _signed(imm), 0)
+                reads.append(rhs)
+            stay_taken = target == next_pc
+            if stay_taken != (pc + 1 == next_pc):  # one outcome leaves the body
+                cond = _CONDITION[op]
+                branches.append((j, _NEGATED[cond] if stay_taken else cond, srcs[0], rhs))
+            elif not stay_taken:
+                branches.append((j, None, zero, zero))
+            continue
+        else:
+            return None
+        if pc + 1 != next_pc:
+            branches.append((j, None, zero, zero))
         if dest is not None:
-            regs[dest] = records[base + j][0] & MASK64
-    return regs
+            cur[dest] = value
+    # Start-of-period values: self-strided registers hold base + k * stride
+    # from period 0 on, the others their last value of period k - 1.
+    start: Dict[int, Tuple[int, int]] = {}
+    for reg, (src, a, b) in cur.items():
+        if src == reg:
+            if b:
+                return None  # a stride growing with k
+            start[reg] = (_signed(regs0[reg]), a)
+    for reg, (src, a, b) in cur.items():
+        if src is None:
+            start[reg] = (a - b, b)
+        elif src != reg:
+            if cur[src][0] != src:
+                return None  # a chain through another period's value
+            base, stride = start[src]
+            start[reg] = (base - stride + a - b, stride + b)
+
+    def resolve(value):
+        src, a, b = value
+        if src is None:
+            return a, b
+        base, stride = start[src]
+        return base + a, stride + b
+
+    exits = []
+    for j, flip, lhs, rhs in branches:
+        (la, lb), (ra, rb) = resolve(lhs), resolve(rhs)
+        exits.append((j, flip, la - ra, lb - rb))
+    return _Affine(
+        tuple((reg, base, stride) for reg, (base, stride) in start.items()),
+        tuple(map(resolve, reads)),
+        tuple(exits),
+    )
+
+
+def _first_flip(flip: Optional[str], a: int, b: int) -> Optional[int]:
+    """The first period ``k >= 1`` where ``a + k * b`` meets ``flip``
+    (compared with zero), or None if none does."""
+    if flip is None:
+        return 1
+    if flip == "<":  # a + kb < 0  <=>  (-a - 1) + k(-b) >= 0
+        flip, a, b = ">=", -a - 1, -b
+    if flip == ">=":
+        if a + b >= 0:
+            return 1
+        return -(a // b) if b > 0 else None
+    if b == 0:
+        return 1 if (a == 0) == (flip == "==") else None
+    if flip == "!=":
+        return 1 if a + b != 0 else 2
+    k, rem = divmod(-a, b)
+    return k if rem == 0 and k >= 1 else None
 
 
 def _values_ok(equals: Sequence[Tuple], evaluated: Sequence[Tuple], records) -> bool:
@@ -862,6 +1087,8 @@ def _probe_periods(core, mem_template, records, cc: int, n: int):
     cover exactly the validated periods); ``(0, None, None)`` if even the
     first period fails."""
     hierarchy = core.hierarchy
+    if not mem_template:
+        return n, _CacheOverlay(hierarchy.dcache), _CacheOverlay(hierarchy.l2cache)
     shared = core.shared
     core_id = core.core_id
     hit_latency = hierarchy.dcache.params.hit_latency
@@ -977,8 +1204,7 @@ class _Plan(NamedTuple):
     core: Any
     snap: _Snapshot
     match: Tuple  # (cc, delta, retired) from _sigma_match
-    body: List[Tuple]
-    records: List[Tuple]
+    ev: _Evaluation
     dcache: _CacheOverlay
     l2: _CacheOverlay
 
@@ -1282,29 +1508,37 @@ class MacroController:
                 return 0
             bodies.append(body)
 
-        # Evaluate the cores one at a time, none past the smallest exit
-        # found so far.  With more than one core the reach doubles from one
-        # period and each evaluation resumes where it stopped, so a long
-        # loop is evaluated at most twice as far as a partner's exit.
-        n = n_bound
-        evals = [
-            _Evaluation(body, rec.snap.regs, rec.core.shared.read, delta)
-            for rec, body in zip(window, bodies)
-        ]
+        # Every core's recorded window must reproduce under the evaluator.
+        # A load-free affine body's exit is then solved in closed form; the
+        # others are evaluated one at a time, none past the smallest exit
+        # found so far.  With more than one of them the reach doubles from
+        # one period and each evaluation resumes where it stopped, so a
+        # long loop is evaluated at most twice as far as a partner's exit.
+        evals = []
         templates: List[List[Tuple[int, int]]] = []
-        reach = n if len(window) == 1 else 1
-        while True:
-            for i, (rec, ev) in enumerate(zip(window, evals)):
+        for rec, body in zip(window, bodies):
+            ev = _Evaluation(body, rec.snap.regs, rec.core.shared.read, delta)
+            ev.extend(len(body) + len(rec.core.rob))
+            template = self._checked(rec, ev)
+            if template is None:
+                return 0
+            evals.append(ev)
+            templates.append(template)
+        n = n_bound
+        stepped = []
+        for rec, ev, template in zip(window, evals, templates):
+            cc = len(ev.body)
+            rob_len = len(rec.core.rob)
+            if template or not ev.solve((n_bound + 1) * cc + rob_len):
+                stepped.append((ev, cc, rob_len))
+            elif ev.exit is not None:
+                n = min(n, (ev.exit - rob_len) // cc - 1)
+        reach = n if len(stepped) == 1 else 1
+        while stepped:
+            for ev, cc, rob_len in stepped:
                 if ev.exit is not None:
                     continue
-                cc = len(ev.body)
-                rob_len = len(rec.core.rob)
                 ev.extend((reach + 1) * cc + rob_len)
-                if len(templates) == i:
-                    template = self._checked(rec, ev)
-                    if template is None:
-                        return 0
-                    templates.append(template)
                 if ev.exit is not None:
                     n_func = (ev.exit - rob_len) // cc - 1
                     if n_func < n:
@@ -1348,9 +1582,7 @@ class MacroController:
                 )
                 if n_ok < n:
                     break
-                plans.append(
-                    _Plan(rec.core, rec.snap, match, ev.body, ev.records, dcache_ov, l2_ov)
-                )
+                plans.append(_Plan(rec.core, rec.snap, match, ev, dcache_ov, l2_ov))
             else:
                 break
             n = n_ok
@@ -1365,6 +1597,8 @@ class MacroController:
         else:
             GLOBAL_COUNTERS.macro_bail_horizon += 1
 
+        for plan in plans:
+            plan.ev.settle(n, len(plan.core.rob))
         self._apply(plans, n)
         GLOBAL_COUNTERS.macro_replays += 1
         GLOBAL_COUNTERS.macro_replayed_periods += n
@@ -1389,10 +1623,10 @@ class MacroController:
         cc = len(body)
         rob_len = len(core.rob)
         # The recorded window itself must be reproducible: the evaluator
-        # stays on the loop through the in-flight positions, and its
-        # registers after one period equal the live register file.
-        stays = ev.exit is None or ev.exit >= cc + rob_len
-        if not stays or _regs_after(body, snap.regs, records, 1) != core.arch_regs:
+        # stays on the loop through the in-flight positions (the first
+        # ``cc + rob_len``, evaluated), and its registers after one period
+        # equal the live register file.
+        if ev.exit is not None or ev.regs_after(1) != core.arch_regs:
             self._abort_form()
             return None
         # Memory template: position-resolved accesses with fixed latencies.
@@ -1419,17 +1653,20 @@ class MacroController:
 
     def _apply(self, plans: Sequence[_Plan], n: int) -> None:
         """Jump every core of the window from S1 to sigma^n(S1) in place."""
-        for core, snap, match, body, records, dcache_ov, l2_ov in plans:
+        for core, snap, match, ev, dcache_ov, l2_ov in plans:
             cc, delta, retired = match
             shift = {DELTA: n * delta, CC: n * cc}
+            body = ev.body
+            records = ev.records
+            start = ev.start
             # EVALUATED rows: registers and the committed store write-set.
-            core.arch_regs[:] = _regs_after(body, snap.regs, records, n + 1)
+            core.arch_regs[:] = ev.regs_after(n + 1)
             store_slots = [j for j in range(cc) if body[j][0] is Op.STORE]
             if store_slots:
                 shared = core.shared
                 core_id = core.core_id
                 for m in range(1, n + 1):
-                    base = m * cc
+                    base = m * cc - start
                     for j in store_slots:
                         rec = records[base + j]
                         shared.write(rec[1], rec[2] & MASK64, core_id=core_id)
@@ -1442,14 +1679,14 @@ class MacroController:
                 by = shift[unit]
                 for uop in waiting if only_waiting else rob:
                     setattr(uop, name, get(uop) + by)
-            base = (n + 1) * cc
+            base = (n + 1) * cc - start
             for i, (uop, writes) in enumerate(zip(rob, snap.writes)):
                 if uop.state >= ST_EXECUTING:
                     rec = records[base + i]
                     for name, slot in writes:
                         setattr(uop, name, rec[slot])
             for prod, q1 in retired:
-                prod.result = records[q1 + shift[CC]][0]
+                prod.result = records[q1 + shift[CC] - start][0]
             # SHIFTED and ADVANCED rows: n more windows' worth of their delta.
             for (owner, name), value, value0 in zip(
                 _COUNT_SETTERS, _CORE_COUNT(core), snap.count

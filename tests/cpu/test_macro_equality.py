@@ -9,7 +9,7 @@ results — final cycle count, every core's full :class:`CoreStats` snapshot,
 every interrupt-delivery trace timestamp, and the architectural state:
 every core's registers and a digest of the shared memory words.
 
-Five groups of cells probe the bail paths and windows specifically:
+Six groups of cells probe the bail paths and windows specifically:
 
 * **timer intervals** — the KB timer deadline is a replay horizon; each
   interval puts the deadline at a different offset inside the hot loop, so
@@ -40,6 +40,12 @@ Five groups of cells probe the bail paths and windows specifically:
   loop store the word the other loads: no window may cover that line.  A
   stall cell keeps one window core asleep on DRAM across many boundaries
   beside a spinner, with a load blocked behind an unresolved store.
+* **closed-form exits** — load-free affine loops, whose exits the
+  evaluator solves instead of stepping to them: Figure 4's count loop at
+  four consecutive lengths, alone and beside the UIPI timer core, a
+  spinner at four consecutive deadlines (one lands exactly on a reading),
+  and a down-counting ``subi; bnei`` loop.  The spy must see every replay
+  take the solved path.
 """
 
 from __future__ import annotations
@@ -197,6 +203,7 @@ class Replay(NamedTuple):
     window: Tuple[int, ...]  # ids of the cores it advanced together
     live: Tuple[int, ...]  # ids of every core not halted at that moment
     lines: Tuple[frozenset, ...]  # per window core: the lines it touched
+    solved: Tuple[bool, ...]  # per window core: was its exit solved in closed form?
 
 
 def _three_legs(monkeypatch, observe):
@@ -216,14 +223,15 @@ def _three_legs(monkeypatch, observe):
     def apply(self, plans, n):
         lines = []
         for plan in plans:
-            horizon = (n + 1) * len(plan.body) + len(plan.core.rob)
-            touched, _ = macroop._lines(plan.body, plan.records, horizon, LINE_BYTES)
+            horizon = (n + 1) * len(plan.ev.body) + len(plan.core.rob)
+            touched, _ = macroop._lines(plan.ev.body, plan.ev.records, horizon, LINE_BYTES)
             lines.append(frozenset(touched))
         replays.append(
             Replay(
                 tuple(plan.core.core_id for plan in plans),
                 tuple(rec.core.core_id for rec in self.recorders if not rec.core.halted),
                 tuple(lines),
+                tuple(plan.ev._form is not None for plan in plans),
             )
         )
         return real_apply(self, plans, n)
@@ -491,6 +499,100 @@ def test_cores_sharing_a_line_never_share_a_window(monkeypatch):
     for replay in replays:
         if len(replay.window) >= 2:
             assert not all(shared_line in lines for lines in replay.lines)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form replays: load-free affine loops, their exits solved
+
+
+#: Four consecutive count-loop lengths: each moves the exit on by one
+#: iteration, so it lands at every offset of the windows' periods.
+COUNT_LENGTHS = (3_000, 3_001, 3_002, 3_003)
+
+
+def _all_solved(replays: Sequence[Replay]) -> bool:
+    """Did every replay take the closed-form path on every window core?"""
+    return bool(replays) and all(all(replay.solved) for replay in replays)
+
+
+def _observe_alone(workload):
+    """One workload alone on one core, until it halts."""
+    system = MultiCoreSystem([workload.program], [FlushStrategy()], trace=True)
+    workload.install(system.shared)
+    system.run(MAX_CYCLES, until_halted=[0])
+    return _view(system)
+
+
+@pytest.mark.parametrize("length", COUNT_LENGTHS)
+def test_count_loop_alone_solved_at_each_length(monkeypatch, length):
+    legs, replays = _three_legs(monkeypatch, lambda: _observe_alone(mb.make_count_loop(length)))
+    _assert_identical(*legs)
+    assert _all_solved(replays), replays
+
+
+@pytest.mark.parametrize("length", COUNT_LENGTHS)
+def test_count_loop_beside_timer_core_solved_at_each_length(monkeypatch, length):
+    legs, replays = _three_legs(
+        monkeypatch,
+        lambda: _observe_beside_timer(mb.make_count_loop(length), "flush", 2_000, length),
+    )
+    _assert_identical(*legs)
+    assert _joint(replays), "no replay advanced both cores together"
+    assert _all_solved(replays), replays
+
+
+#: The spinner cell's deadlines: one iteration of its loop takes 4 cycles,
+#: so one of four consecutive deadlines equals a reading exactly.
+SPIN_DEADLINES = (5_000, 5_001, 5_002, 5_003)
+
+
+def _spinner(deadline: int):
+    """``rdtsc`` until ``deadline`` cycles after the first reading, with a
+    dependent chain that stretches each iteration to several cycles."""
+    b = ProgramBuilder("spinner")
+    b.emit(isa.rdtsc(1))
+    b.emit(isa.addi(3, 1, deadline))
+    b.label("wait")
+    b.emit(isa.rdtsc(6))
+    for _ in range(4):
+        b.emit(isa.addi(7, 7, 1))
+    b.emit(isa.blt(6, 3, "wait"))
+    b.emit(isa.halt())
+    return mb.Workload(name="spinner", program=b.build())
+
+
+def test_spinner_deadline_on_a_period_boundary(monkeypatch):
+    """Of four consecutive deadlines, some solved exit reads the deadline
+    itself: the spin's last reading lands exactly on a period boundary."""
+    exact = []
+    real_solve = macroop._Evaluation.solve
+
+    def solve(self, horizon):
+        solved = real_solve(self, horizon)
+        if solved and self.exit is not None:
+            exact.append(self.regs[6] == self.regs[3])
+        return solved
+
+    monkeypatch.setattr(macroop._Evaluation, "solve", solve)
+    for deadline in SPIN_DEADLINES:
+        legs, replays = _three_legs(monkeypatch, lambda: _observe_alone(_spinner(deadline)))
+        _assert_identical(*legs)
+        assert _all_solved(replays), replays
+    assert any(exact), "no deadline landed on a reading"
+    assert not all(exact), "every deadline landed on a reading"
+
+
+def test_down_counting_sub_bne_loop_solved(monkeypatch):
+    b = ProgramBuilder("count_down")
+    b.emit(isa.movi(1, 2_500))
+    b.label("loop")
+    b.emit(isa.subi(1, 1, 1))
+    b.emit(isa.bnei(1, 0, "loop"))
+    b.emit(isa.halt())
+    workload = mb.Workload(name="count_down", program=b.build())
+    legs, replays = _three_legs(monkeypatch, lambda: _observe_alone(workload))
+    _assert_identical(*legs)
+    assert _all_solved(replays), replays
 
 
 @pytest.mark.parametrize("macro", ("0", "1"))
