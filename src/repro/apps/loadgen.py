@@ -9,7 +9,7 @@ packet generator variant used by Figure 8 also lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams
@@ -42,16 +42,18 @@ class PoissonLoadGenerator:
         #: Mean inter-arrival gap in cycles.
         self.mean_gap = clock_hz / rate_per_second
 
-    def arrivals(self, duration_cycles: float, start: float = 0.0) -> Iterator[Arrival]:
-        """Yield arrivals in ``[start, start + duration_cycles)``."""
+    def arrival_times(self, duration_cycles: float, start: float = 0.0) -> List[float]:
+        """Arrival times in ``[start, start + duration_cycles)``, in order."""
         if duration_cycles <= 0:
             raise ConfigError("duration must be positive")
-        now = start
-        while True:
-            now += self.rng.exponential("arrivals", self.mean_gap)
-            if now >= start + duration_cycles:
-                return
-            yield Arrival(time=now, spec=self.service_model.sample())
+        return self.rng.exponential_times(
+            "arrivals", self.mean_gap, start, start + duration_cycles
+        )
+
+    def arrivals(self, duration_cycles: float, start: float = 0.0) -> Iterator[Arrival]:
+        """Yield arrivals in ``[start, start + duration_cycles)``."""
+        for time in self.arrival_times(duration_cycles, start):
+            yield Arrival(time=time, spec=self.service_model.sample())
 
     def schedule_into(
         self,
@@ -59,11 +61,19 @@ class PoissonLoadGenerator:
         duration_cycles: float,
         on_arrival: Callable[[Arrival], None],
     ) -> int:
-        """Pre-schedule all arrivals into ``sim``; returns the count."""
-        count = 0
-        for arrival in self.arrivals(duration_cycles, start=sim.now):
-            sim.schedule_at(
-                arrival.time, lambda a=arrival: on_arrival(a), name="arrival"
-            )
-            count += 1
-        return count
+        """Feed all arrivals to ``sim`` as one sorted stream; returns the count.
+
+        The service mix is sampled here, in arrival order: it interleaves
+        two kinds of draws on one stream, so it cannot be batched exactly,
+        and a later group sharing the stream must see it where this one
+        left it.
+        """
+        times = self.arrival_times(duration_cycles, start=sim.now)
+        sample = self.service_model.sample
+        specs = [sample() for _ in times]
+
+        def fire(index: int) -> None:
+            on_arrival(Arrival(times[index], specs[index]))
+
+        sim.feed(times, fire, name="arrival")
+        return len(times)

@@ -154,6 +154,7 @@ def run_shard_job(job: ShardJob) -> ShardResult:
             scans += 1
         if thread.kind in measured_kinds:
             hist.record(_response_cycles(thread))
+    runtime.close()
     return ShardResult(
         shard_index=job.shard_index,
         host=job.host,

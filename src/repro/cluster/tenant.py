@@ -2,7 +2,7 @@
 
 Compiles a :class:`~repro.scenario.tenants.TenantTemplate` plus a
 :class:`~repro.cluster.topology.TenantSpec` head-count into concrete
-arrival events on a shard's simulator, spawning one
+arrivals fed to a shard's simulator (:meth:`Simulator.feed`), spawning one
 :class:`~repro.runtime.uthread.UThread` per request/notification.
 
 All randomness flows through the shard's named :class:`RngStreams`, so the
@@ -40,7 +40,7 @@ def schedule_group(
     duration_cycles: float,
     delivery_cycles: float,
 ) -> int:
-    """Pre-schedule one tenant group's arrivals; returns the offered count."""
+    """Feed one tenant group's arrivals to ``sim``; returns the offered count."""
     if count < 1:
         raise ConfigError(f"tenant group count must be >= 1, got {count}")
     if duration_cycles <= 0:
@@ -126,18 +126,14 @@ def _schedule_timers(
     """
     period = CLOCK_HZ / rps
     service = us_to_cycles(template.handler_us) + delivery_cycles
-    offered = 0
+    times = []
     for _tenant in range(count):
         when = rng.uniform("timer_phase", 0.0, period)
         while when < duration_cycles:
-            sim.schedule_at(
-                when,
-                lambda: _spawn(sim, runtime, service, "timer"),
-                name="tenant-timer",
-            )
-            offered += 1
+            times.append(when)
             when += period
-    return offered
+    sim.feed(times, lambda _index: _spawn(sim, runtime, service, "timer"), name="tenant-timer")
+    return len(times)
 
 
 def _schedule_bursts(
@@ -160,17 +156,14 @@ def _schedule_bursts(
     burst_period = us_to_cycles(template.burst_period_ms * 1000.0)
     burst_len = us_to_cycles(template.burst_len_ms * 1000.0)
     service = us_to_cycles(template.handler_us) + delivery_cycles
-    offered = 0
+    times = []
     now = 0.0
     while True:
         in_burst = (now % burst_period) < burst_len
         rate = base_rate_per_second * (template.burst_factor if in_burst else 1.0)
         now += rng.exponential("fanout_arrivals", CLOCK_HZ / rate)
         if now >= duration_cycles:
-            return offered
-        sim.schedule_at(
-            now,
-            lambda: _spawn(sim, runtime, service, "event"),
-            name="fanout-event",
-        )
-        offered += 1
+            break
+        times.append(now)
+    sim.feed(times, lambda _index: _spawn(sim, runtime, service, "event"), name="fanout-event")
+    return len(times)

@@ -9,10 +9,14 @@ semantics, keyed by name, so runs are reproducible end to end.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
+
+#: Most gaps :meth:`RngStreams.exponential_times` draws in one chunk.
+EXPONENTIAL_CHUNK = 1 << 16
 
 
 def derive_seed(root_seed: int, *parts: object) -> int:
@@ -54,6 +58,38 @@ class RngStreams:
     def exponential(self, name: str, mean: float) -> float:
         """Draw one exponential variate with the given mean from stream ``name``."""
         return float(self.stream(name).exponential(mean))
+
+    def exponential_times(self, name: str, mean: float, start: float, end: float) -> List[float]:
+        """Arrival times ``start + g1, start + g1 + g2, ...`` below ``end``.
+
+        The gaps are exponential with the given mean from stream ``name``.
+        Bit for bit this is the scalar loop ``now += exponential(name,
+        mean)`` until ``now >= end``, and it leaves the stream where that
+        loop does: one draw past the last time returned.  Each chunk of
+        gaps, about the expected count, is drawn from a copy of the stream
+        and summed by ``np.cumsum`` (a sequential running sum); the stream
+        itself then draws exactly as many gaps as the loop would have.
+        One variate may consume more than one raw output, so the stream
+        cannot be advanced by counting outputs instead.
+        """
+        if not mean > 0:
+            raise ValueError(f"mean must be positive, got {mean}")
+        generator = self.stream(name)
+        times: List[float] = []
+        now = start
+        while True:
+            size = min(max(int((end - now) / mean * 1.05), 0) + 16, EXPONENTIAL_CHUNK)
+            sums = copy.deepcopy(generator).exponential(mean, size)
+            sums[0] += now  # IEEE addition commutes: now + g1, as in the loop
+            np.cumsum(sums, out=sums)
+            crossing = int(np.searchsorted(sums, end, side="left"))
+            if crossing < size:
+                generator.exponential(mean, crossing + 1)
+                times.extend(sums[:crossing].tolist())
+                return times
+            generator.exponential(mean, size)
+            times.extend(sums.tolist())
+            now = float(sums[-1])
 
     def uniform(self, name: str, low: float, high: float) -> float:
         return float(self.stream(name).uniform(low, high))

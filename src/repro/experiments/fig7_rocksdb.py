@@ -124,6 +124,7 @@ def run_point(
     timer_busy = 0.0
     if runtime.timer_core is not None:
         timer_busy = runtime.timer_core.busy_fraction(sim.now)
+    runtime.close()
     return Fig7Point(
         configuration=configuration,
         offered_rps=offered_rps,

@@ -80,6 +80,8 @@ class WorkerCore:
         self.idle_since: Optional[float] = 0.0
         self.idle_cycles = 0.0
         self.preemption_events = 0
+        self._complete_name = f"complete:w{core_id}"
+        self._resume_name = f"resume:w{core_id}"
         config = runtime.config
         # With one worker there is never a victim to steal from.
         self._can_steal = config.work_stealing and config.num_workers > 1
@@ -112,9 +114,24 @@ class WorkerCore:
             thread.start_time = sim.now
         self.current = thread
         self._slice_started = sim.now
-        self._completion_event = sim.schedule(
-            thread.remaining, self._complete, name=f"complete:w{self.core_id}"
-        )
+        clock = self.runtime._clock
+        if clock is None or sim.now + thread.remaining <= clock.time:
+            self._completion_event = sim.schedule(
+                thread.remaining, self._complete, name=self._complete_name
+            )
+        # Otherwise the next tick preempts the thread first and would only
+        # cancel its completion, so none is scheduled (see ``stop``).
+
+    def _arm_completion(self) -> None:
+        """Schedule the running thread's completion if ``_run`` left it to
+        the quantum clock."""
+        thread = self.current
+        if thread is not None and self._completion_event is None:
+            self._completion_event = self.runtime.sim.schedule_at(
+                self._slice_started + thread.remaining,
+                self._complete,
+                name=self._complete_name,
+            )
 
     def _complete(self) -> None:
         sim = self.runtime.sim
@@ -155,8 +172,9 @@ class WorkerCore:
                 self._dispatch()
             return
         # Preempt the running thread: bank its progress and rotate.
-        self._completion_event.cancel()
-        self._completion_event = None
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
         used = thread.run_for(sim.now - self._slice_started)
         self.account.charge("app", used)
         self.current = None
@@ -174,7 +192,7 @@ class WorkerCore:
             self.queue.push_front(thread)
             resume_delay = overhead
         self._resume_pending = True
-        sim.schedule(resume_delay, self._dispatch, name=f"resume:w{self.core_id}")
+        sim.schedule(resume_delay, self._dispatch, name=self._resume_name)
 
     # ------------------------------------------------------------------
 
@@ -283,10 +301,33 @@ class AspenRuntime:
             timer_core.charge("spin", self._spin_cycles)
 
     def stop(self) -> None:
-        """Stop the quantum clock so an unbounded sim.run() can drain."""
+        """Stop the quantum clock so an unbounded sim.run() can drain.
+
+        A running thread whose completion was left to the next tick gets
+        its completion event now.
+        """
         if self._clock is not None:
             self._clock.cancel()
             self._clock = None
+            for worker in self.workers:
+                worker._arm_completion()
+
+    def close(self) -> None:
+        """End the run: drop its pending events and the references between
+        workers, runtime and events, so reference counting frees it.
+
+        Pending events hold bound methods of the workers and the runtime,
+        which hold the events and the simulator back; workers and runtime
+        hold each other.  Without this, every finished run waits for the
+        cyclic collector.  Results stay readable: ``completed``, the
+        workers' counters and accounts, the timer core and ``sim.now``.
+        The runtime cannot run again.
+        """
+        self._clock = None
+        self.sim.clear()
+        for worker in self.workers:
+            worker._completion_event = None
+            worker.runtime = None
 
     # -- spawning / stealing ------------------------------------------------
 

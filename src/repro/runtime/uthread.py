@@ -15,7 +15,7 @@ _uthread_ids = itertools.count(1)
 WORK_EPSILON = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class UThread:
     """A user-level thread with a known service demand (in cycles).
 

@@ -85,6 +85,23 @@ class EventQueue:
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers; return the first.
+
+        They are the numbers ``count`` back-to-back :meth:`push` calls
+        would have taken, so entries kept outside the heap (the
+        simulator's feed) tie-break against heap events exactly as if
+        they had been pushed.
+        """
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
+
+    def clear(self) -> None:
+        """Drop every entry, live or cancelled, without cancelling it."""
+        self._heap.clear()
+        self._cancelled = 0
+
     def _note_cancelled(self) -> None:
         self._cancelled += 1
         if (

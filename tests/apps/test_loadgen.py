@@ -62,3 +62,13 @@ class TestScheduleInto:
         sim.run()
         assert len(seen) == count
         assert count > 500
+
+    def test_fires_each_arrival_at_its_time_in_order(self):
+        expected = list(PoissonLoadGenerator(100_000, rng=RngStreams(6)).arrivals(0.001 * 2e9))
+        sim = Simulator()
+        seen = []
+        generator = PoissonLoadGenerator(100_000, rng=RngStreams(6))
+        generator.schedule_into(sim, 0.001 * 2e9, lambda a: seen.append((sim.now, a)))
+        sim.run()
+        assert [a for _, a in seen] == expected
+        assert all(now == a.time for now, a in seen)

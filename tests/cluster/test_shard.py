@@ -1,5 +1,7 @@
 """Shard jobs: purity, common random numbers, per-scenario behaviour."""
 
+import gc
+import hashlib
 import json
 import pickle
 
@@ -9,6 +11,7 @@ from repro.common.errors import ConfigError
 from repro.notify.costs import CostModel
 from repro.cluster.shard import ShardJob, run_shard_job
 from repro.cluster.topology import TenantSpec
+from repro.runtime.aspen import AspenRuntime
 
 
 def _job(strategy="timer", scenario="rocksdb", count=8, rps=2000.0, **overrides):
@@ -117,3 +120,53 @@ class TestRunShardJob:
         one = run_shard_job(_job())
         two = run_shard_job(_job(workers=2))
         assert two.preemptions_total > one.preemptions_total
+
+
+class TestArrivalFeed:
+    """Arrivals reach the event loop as one sorted feed per group."""
+
+    def test_two_groups_sharing_streams_match_recorded_digests(self):
+        """Two RocksDB groups share the ``arrivals`` and ``rocksdb_mix``
+        streams: the second must draw exactly where the first left them.
+        The digests were recorded when every arrival was a heap event."""
+        recorded = {
+            "flush": "9d006c912745761bffa7d905e2209c86eb6ba8c627f18290d830a10a0b7509d5",
+            "timer": "967211b39803e919f046930d625227eae92e15a4de1a7e76345d9bea8e5e7d65",
+        }
+        groups = (
+            TenantSpec(template="rocksdb", count=32, rps=3400.0),
+            TenantSpec(template="rocksdb", count=16, rps=2000.0),
+        )
+        for strategy, expected in recorded.items():
+            result = run_shard_job(
+                _job(strategy=strategy, groups=groups, workers=2, duration_ms=3.0)
+            )
+            text = json.dumps(result.to_json(), sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("seed,expected", [(0, 73), (1, 89)])
+    def test_idle_coalescing_sees_the_feed(self, monkeypatch, seed, expected):
+        """A 512-tenant, 50 rps shard is idle most quanta; the quantum clock
+        jumps to the next arrival only if it sees the live feed position.
+        The counts were recorded when every arrival was a heap event."""
+        calls = []
+        quantum = AspenRuntime._quantum
+
+        def counted(self):
+            calls.append(self.sim.now)
+            quantum(self)
+
+        monkeypatch.setattr(AspenRuntime, "_quantum", counted)
+        run_shard_job(_job(count=512, rps=50.0, duration_ms=3.0, seed=seed))
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("scenario", ["rocksdb", "timers", "fanout"])
+    def test_finished_job_is_freed_by_refcount(self, scenario):
+        gc.collect()
+        gc.disable()
+        try:
+            run_shard_job(_job(scenario=scenario, workers=4, duration_ms=3.0))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0

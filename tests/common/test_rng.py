@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.common.rng as rng_module
 from repro.common.rng import RngStreams
 
 
@@ -58,3 +59,49 @@ class TestRngStreams:
 
     def test_seed_property(self):
         assert RngStreams(seed=11).seed == 11
+
+
+def _scalar_times(rng, name, mean, start, end):
+    now, times = start, []
+    while True:
+        now += rng.exponential(name, mean)
+        if now >= end:
+            return times
+        times.append(now)
+
+
+class TestExponentialTimes:
+    """The batched draw is the scalar ``now += gap`` loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "mean,start,end",
+        [(1e4, 0.0, 5e6), (3.3e5, 100.0, 1e8), (7.0, 12345.678, 32345.678), (1e6, 0.0, 5e5)],
+    )
+    def test_equals_scalar_loop_and_leaves_the_same_state(self, seed, mean, start, end):
+        scalar, batched = RngStreams(seed), RngStreams(seed)
+        expected = _scalar_times(scalar, "arrivals", mean, start, end)
+        assert batched.exponential_times("arrivals", mean, start, end) == expected
+        assert (
+            batched.stream("arrivals").bit_generator.state
+            == scalar.stream("arrivals").bit_generator.state
+        )
+
+    def test_across_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "EXPONENTIAL_CHUNK", 7)
+        for seed in range(4):
+            scalar, batched = RngStreams(seed), RngStreams(seed)
+            expected = _scalar_times(scalar, "x", 10.0, 50.0, 1000.0)
+            assert len(expected) > 7 * 5
+            assert batched.exponential_times("x", 10.0, 50.0, 1000.0) == expected
+            assert batched.exponential("x", 1.0) == scalar.exponential("x", 1.0)
+
+    def test_start_at_or_past_end_draws_once(self):
+        scalar, batched = RngStreams(3), RngStreams(3)
+        assert batched.exponential_times("x", 5.0, 10.0, 10.0) == []
+        scalar.exponential("x", 5.0)
+        assert batched.exponential("x", 1.0) == scalar.exponential("x", 1.0)
+
+    def test_nonpositive_mean_rejected(self):
+        with pytest.raises(ValueError):
+            RngStreams(0).exponential_times("x", 0.0, 0.0, 1.0)

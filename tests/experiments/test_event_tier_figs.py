@@ -1,5 +1,7 @@
 """Figures 6-9 runners at reduced scale: the paper's shapes hold."""
 
+import gc
+
 import pytest
 
 from repro.experiments.fig6_timer_cost import (
@@ -91,6 +93,17 @@ class TestFig7:
     def test_slo_helper(self, points):
         assert max_throughput_under_slo([points["xui"]], slo_us=1000.0) > 0
         assert max_throughput_under_slo([points["no_preempt"]], slo_us=100.0) == 0.0
+
+
+def test_fig7_point_is_freed_by_refcount():
+    gc.collect()
+    gc.disable()
+    try:
+        run_point("xui", 100_000, duration_seconds=0.005, num_workers=3)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 class TestFig7MultiWorker:

@@ -222,6 +222,19 @@ class TestQuantumClock:
         assert len(runtime.completed) == 1
         assert [w.preemption_events for w in runtime.workers] == ticks
 
+    def test_stop_arms_a_completion_left_to_the_tick(self):
+        """A slice that outlasts the next tick schedules no completion (the
+        tick would cancel it); stopping the clock must schedule it."""
+        sim, runtime = make_runtime(quantum=10_000.0)
+        thread = UThread(service_cycles=25_000.0)
+        runtime.spawn(thread)
+        sim.run(until=5_000.0)
+        assert sim.pending() == 1  # the clock only
+        runtime.stop()
+        sim.run()
+        assert thread.completion_time == 25_000.0
+        assert runtime.completed == [thread]
+
 
 class TestWorkStealing:
     def test_idle_worker_steals(self):

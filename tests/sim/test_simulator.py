@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import obs
+from repro.common.counters import GLOBAL_COUNTERS
 from repro.common.errors import SimulationError
 from repro.sim.simulator import Simulator
 
@@ -200,3 +202,116 @@ class TestNaNRejection:
         sim.schedule(0.0, lambda: None)
         sim.schedule_at(5.0, lambda: None)
         assert sim.pending() == 2
+
+
+class TestFeed:
+    """Pre-sorted entries merged with the heap by ``(time, sequence)``."""
+
+    def test_ties_follow_scheduling_order_with_heap_events(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(10.0, lambda: order.append("before"))
+        sim.feed([10.0, 10.0], lambda i: order.append(f"feed{i}"))
+        sim.schedule_at(10.0, lambda: order.append("after"))
+        sim.run()
+        assert order == ["before", "feed0", "feed1", "after"]
+
+    def test_unsorted_entries_merge_by_reserved_sequence(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(20.0, lambda: order.append("heap20"))
+        sim.feed([30.0, 10.0, 20.0, 10.0], lambda i: order.append(f"feed{i}"))
+        sim.schedule_at(10.0, lambda: order.append("heap10"))
+        sim.run()
+        assert order == ["feed1", "feed3", "heap10", "heap20", "feed2", "feed0"]
+
+    def test_second_feed_merges_with_the_first(self):
+        sim = Simulator()
+        order = []
+        sim.feed([5.0, 15.0], lambda i: order.append(("a", i)))
+        sim.feed([5.0, 10.0], lambda i: order.append(("b", i)))
+        sim.run()
+        assert order == [("a", 0), ("b", 0), ("b", 1), ("a", 1)]
+
+    def test_feed_from_a_callback_during_a_run(self):
+        sim = Simulator()
+        order = []
+        sim.feed([2.0], lambda i: sim.feed([3.0, 4.0], lambda j: order.append(j)))
+        sim.feed([5.0], lambda i: order.append("last"))
+        sim.run()
+        assert order == [0, 1, "last"]
+
+    def test_entries_count_as_events(self):
+        sim = Simulator()
+        g = GLOBAL_COUNTERS
+        fired, jumps = g.events_fired, g.events_fast_forwarded
+        sim.feed([1.0, 1.0, 2.0], lambda i: None)
+        assert sim.pending() == 3
+        sim.run()
+        assert sim.events_processed == 3
+        assert g.events_fired - fired == 3
+        assert g.events_fast_forwarded - jumps == 2
+        assert sim.pending() == 0
+
+    def test_max_events_and_until_bound_the_feed(self):
+        sim = Simulator()
+        fired = []
+        sim.feed([1.0, 2.0, 3.0, 4.0], fired.append)
+        sim.run(max_events=2)
+        assert fired == [0, 1]
+        sim.run(until=3.5)
+        assert fired == [0, 1, 2] and sim.now == 3.5
+        assert sim.pending() == 1
+
+    def test_step_merges_feed_and_heap(self):
+        sim = Simulator()
+        order = []
+        sim.feed([1.0, 3.0], lambda i: order.append(f"feed{i}"))
+        sim.schedule_at(2.0, lambda: order.append("heap"))
+        while sim.step():
+            order.append(sim.now)
+        assert order == ["feed0", 1.0, "heap", 2.0, "feed1", 3.0]
+
+    def test_peek_next_time_sees_the_live_feed_during_a_run(self):
+        sim = Simulator()
+        peeked = []
+        times = [1.0, 2.0, 4.0]
+        sim.feed(times, lambda i: peeked.append(sim.peek_next_time()))
+        sim.schedule_at(3.0, lambda: peeked.append(sim.peek_next_time()))
+        sim.run()
+        assert peeked == [2.0, 3.0, 4.0, None]
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.feed([1.0, float("nan")], lambda i: None, name="bad")
+        assert sim.pending() == 0
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError, match="before now"):
+            sim.feed([6.0, 4.0], lambda i: None)
+        assert sim.pending() == 0
+
+    def test_traced_under_its_name(self):
+        sim = Simulator()
+        sim.feed([1.0], lambda i: None, name="arrival")
+        sim.schedule_at(2.0, lambda: None, name="tick")
+        obs.enable()
+        try:
+            sim.run()
+        finally:
+            obs.disable()
+        assert [e.name for e in obs.TRACER.events()] == ["arrival", "tick"]
+
+    def test_clear_drops_events_and_feed(self):
+        sim = Simulator()
+        fired = []
+        sim.feed([1.0, 2.0], fired.append)
+        sim.schedule_at(1.5, lambda: fired.append("heap"))
+        sim.run(until=1.2)
+        sim.clear()
+        assert sim.pending() == 0 and sim.peek_next_time() is None
+        sim.run()
+        assert fired == [0] and sim.now == 1.2
