@@ -143,6 +143,15 @@ FAST_ACTIVITY_EXEMPT: Dict[str, str] = {
         "steps them, never to the skip proof)"
     ),
     "invariant_probe": _CONFIG_TIME_REASON + " (declared fault-hook grant)",
+    "_decoded": (
+        "decode memo filled on first fetch of each program index, a pure "
+        "function of the program and configuration; fetch happens only on a "
+        "stepped cycle"
+    ),
+    "_routines": (
+        "decode memo of the microcode routines, a pure function of the "
+        "timing configuration; filled only on a stepped cycle"
+    ),
     "uitt": _CONFIG_TIME_REASON + " (connect_uipi / kernel UITT registration)",
 }
 

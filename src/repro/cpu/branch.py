@@ -8,18 +8,25 @@ machine), which only gets exercised if branches actually mispredict.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
 from repro.cpu.isa import Instruction, Op
 
+_JMP, _CALL, _RET = Op.JMP, Op.CALL, Op.RET
+
 
 class GsharePredictor:
-    """Global-history XOR-indexed table of 2-bit saturating counters."""
+    """Global-history XOR-indexed table of 2-bit saturating counters.
+
+    The counters live in a ``bytearray`` (as do the BTB's columns in
+    ``array``s): the macro tier copies and compares these tables at every
+    window, and a flat buffer copies and compares as one block."""
 
     def __init__(self, table_bits: int = 12, history_bits: int = 12) -> None:
         self.table_bits = table_bits
         self.history_bits = history_bits
-        self._table: List[int] = [2] * (1 << table_bits)  # weakly taken
+        self._table = bytearray([2]) * (1 << table_bits)  # weakly taken
         self._history = 0
         self._history_mask = (1 << history_bits) - 1
         self._index_mask = (1 << table_bits) - 1
@@ -28,7 +35,7 @@ class GsharePredictor:
         return (pc ^ self._history) & self._index_mask
 
     def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)] >= 2
+        return self._table[(pc ^ self._history) & self._index_mask] >= 2
 
     def record_speculative(self, taken: bool) -> int:
         """Shift the predicted outcome into history; return prior history for recovery."""
@@ -38,6 +45,10 @@ class GsharePredictor:
 
     def restore_history(self, history: int) -> None:
         self._history = history
+
+    def invert(self) -> None:
+        """Invert every 2-bit counter: taken <-> not-taken (a fault storm)."""
+        self._table = bytearray(3 - c for c in self._table)
 
     def update(self, pc: int, history_at_predict: int, taken: bool) -> None:
         """Train the counter indexed with the history in effect at prediction."""
@@ -52,19 +63,27 @@ class GsharePredictor:
             self._table[index] = counter - 1
 
 
+#: BTB tag of an empty entry (no PC is negative).
+NO_TAG = -1
+
+
 class BranchTargetBuffer:
     """Direct-mapped PC -> target cache for taken branches."""
 
     def __init__(self, entries: int = 1024) -> None:
         self._entries = entries
-        self._tags: List[Optional[int]] = [None] * entries
-        self._targets: List[int] = [0] * entries
+        self._tags = array("q", [NO_TAG]) * entries
+        self._targets = array("q", [0]) * entries
 
     def lookup(self, pc: int) -> Optional[int]:
         index = pc % self._entries
         if self._tags[index] == pc:
             return self._targets[index]
         return None
+
+    def invalidate(self) -> None:
+        """Drop every entry."""
+        self._tags = array("q", [NO_TAG]) * self._entries
 
     def update(self, pc: int, target: int) -> None:
         index = pc % self._entries
@@ -112,14 +131,14 @@ class BranchPredictor:
     def predict(self, pc: int, instruction: Instruction) -> Tuple[bool, Optional[int], int]:
         self.predictions += 1
         op = instruction.op
-        if op in (Op.JMP, Op.CALL):
+        if op is _JMP or op is _CALL:
             # Direct unconditional: target known at decode.
             target = instruction.target if isinstance(instruction.target, int) else None
-            if op is Op.CALL:
+            if op is _CALL:
                 self.ras.push(pc + 1)
             history = self.gshare.record_speculative(True)
             return True, target, history
-        if op is Op.RET:
+        if op is _RET:
             target = self.ras.pop()
             history = self.gshare.record_speculative(True)
             return True, target, history
@@ -139,15 +158,17 @@ class BranchPredictor:
     def resolve(
         self,
         pc: int,
-        instruction: Instruction,
+        conditional: bool,
         history_token: int,
         actual_taken: bool,
         actual_target: int,
         predicted_taken: bool,
         predicted_target: Optional[int],
     ) -> bool:
-        """Train on the outcome; return True if this was a misprediction."""
-        if instruction.is_cond_branch:
+        """Train on the outcome of the branch at ``pc`` (``conditional``: a
+        conditional branch, which trains the direction table); return True
+        if this was a misprediction."""
+        if conditional:
             self.gshare.update(pc, history_token, actual_taken)
         if actual_taken:
             self.btb.update(pc, actual_target)

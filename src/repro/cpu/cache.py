@@ -20,14 +20,16 @@ class SetAssociativeCache:
     """An LRU set-associative cache tracking presence only (no data).
 
     Data values live in :class:`SharedMemory`; the cache decides latency.
+    Each set is an immutable tuple of tags, most-recently-used last: an
+    access that reorders or fills a set rebinds it, so a shallow copy of
+    ``_sets`` is a snapshot (the macro tier takes one per window).
     """
 
     def __init__(self, params: CacheParams) -> None:
         self.params = params
         self._line_shift = params.line_bytes.bit_length() - 1
         self._num_sets = params.num_sets
-        # Each set is an ordered list of tags, most-recently-used last.
-        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
+        self._sets: List[Tuple[int, ...]] = [()] * self._num_sets
         self.hits = 0
         self.misses = 0
 
@@ -37,22 +39,23 @@ class SetAssociativeCache:
     def lookup(self, addr: int) -> bool:
         """Check presence and update LRU; fill on miss.  True on hit."""
         line = addr >> self._line_shift
-        tags = self._sets[line % self._num_sets]
+        index = line % self._num_sets
+        tags = self._sets[index]
         if tags and tags[-1] == line:
             # MRU fast path: repeated accesses to the same line (hot loops,
-            # streaming) skip the remove/append shuffle, which for the tail
-            # entry is a no-op reorder anyway.
+            # streaming) skip the reorder, which for the tail entry is a
+            # no-op anyway.
             self.hits += 1
             return True
         if line in tags:
-            tags.remove(line)
-            tags.append(line)
+            at = tags.index(line)
+            self._sets[index] = tags[:at] + tags[at + 1 :] + (line,)
             self.hits += 1
             return True
         self.misses += 1
         if len(tags) >= self.params.associativity:
-            tags.pop(0)
-        tags.append(line)
+            tags = tags[1:]
+        self._sets[index] = tags + (line,)
         return False
 
     def contains(self, addr: int) -> bool:
@@ -63,15 +66,15 @@ class SetAssociativeCache:
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr``; True if it was present."""
         line = self.line_of(addr)
-        tags = self._sets[line % self._num_sets]
+        index = line % self._num_sets
+        tags = self._sets[index]
         if line in tags:
-            tags.remove(line)
+            self._sets[index] = tuple(tag for tag in tags if tag != line)
             return True
         return False
 
     def flush(self) -> None:
-        for tags in self._sets:
-            tags.clear()
+        self._sets = [()] * self._num_sets
 
     @property
     def accesses(self) -> int:

@@ -189,11 +189,8 @@ class FaultInjector:
             def storm() -> None:
                 counters.misspec_storms += 1
                 _mark_fault(system.cycle, "misspec_storm", core=fault.core)
-                gshare = core.predictor.gshare
-                # Invert every 2-bit counter: taken <-> not-taken.
-                gshare._table = [3 - c for c in gshare._table]
-                btb = core.predictor.btb
-                btb._tags = [None] * len(btb._tags)
+                core.predictor.gshare.invert()
+                core.predictor.btb.invalidate()
 
             system.schedule(delay, storm)
         else:  # pragma: no cover - Fault rejects unknown kinds

@@ -99,24 +99,25 @@ class WorkerCore:
         thread = self.queue.pop()
         if thread is None and self._can_steal:
             thread = self.runtime.steal_for(self)
+        # One clock read per callback.
+        now = self.runtime.sim.now
         if thread is None:
             if self.idle_since is None:
-                self.idle_since = self.runtime.sim.now
+                self.idle_since = now
             return
         if self.idle_since is not None:
-            self.idle_cycles += self.runtime.sim.now - self.idle_since
+            self.idle_cycles += now - self.idle_since
             self.idle_since = None
-        self._run(thread)
+        self._run(thread, now)
 
-    def _run(self, thread: UThread) -> None:
-        sim = self.runtime.sim
+    def _run(self, thread: UThread, now: float) -> None:
         if thread.start_time is None:
-            thread.start_time = sim.now
+            thread.start_time = now
         self.current = thread
-        self._slice_started = sim.now
+        self._slice_started = now
         clock = self.runtime._clock
-        if clock is None or sim.now + thread.remaining <= clock.time:
-            self._completion_event = sim.schedule(
+        if clock is None or now + thread.remaining <= clock.time:
+            self._completion_event = self.runtime.sim.schedule(
                 thread.remaining, self._complete, name=self._complete_name
             )
         # Otherwise the next tick preempts the thread first and would only
@@ -134,15 +135,15 @@ class WorkerCore:
             )
 
     def _complete(self) -> None:
-        sim = self.runtime.sim
+        now = self.runtime.sim.now
         thread = self.current
         if thread is None:
             raise SimulationError("completion with no current thread")
-        used = thread.run_for(sim.now - self._slice_started)
+        used = thread.run_for(now - self._slice_started)
         self.account.charge("app", used)
         self.current = None
         self._completion_event = None
-        thread.completion_time = sim.now
+        thread.completion_time = now
         self.runtime.completed.append(thread)
         self._dispatch()
 
@@ -175,12 +176,13 @@ class WorkerCore:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        used = thread.run_for(sim.now - self._slice_started)
+        now = sim.now
+        used = thread.run_for(now - self._slice_started)
         self.account.charge("app", used)
         self.current = None
         thread.preemptions += 1
         if thread.finished:
-            thread.completion_time = sim.now
+            thread.completion_time = now
             self.runtime.completed.append(thread)
             resume_delay = overhead
         elif len(self.queue) > 0 or self.runtime.has_stealable_work(self):

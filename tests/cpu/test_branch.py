@@ -84,7 +84,7 @@ class TestCombinedPredictor:
         instr = isa.Instruction(isa.Op.JMP, target=7)
         taken, target, history = predictor.predict(3, instr)
         assert taken and target == 7
-        mispredicted = predictor.resolve(3, instr, history, True, 7, taken, target)
+        mispredicted = predictor.resolve(3, instr.is_cond_branch, history, True, 7, taken, target)
         assert mispredicted is False
 
     def test_call_ret_pair_predicted_via_ras(self):
@@ -107,7 +107,7 @@ class TestCombinedPredictor:
         # history on each mispredict the way the core does.
         for _ in range(30):
             taken, target, history = predictor.predict(9, instr)
-            mispredicted = predictor.resolve(9, instr, history, False, 30, taken, target)
+            mispredicted = predictor.resolve(9, instr.is_cond_branch, history, False, 30, taken, target)
             if mispredicted:
                 predictor.gshare.restore_history(history)
                 predictor.gshare.record_speculative(False)
@@ -121,10 +121,10 @@ class TestCombinedPredictor:
         # Train taken so prediction uses the encoded target.
         for _ in range(4):
             taken, target, history = predictor.predict(9, instr)
-            predictor.resolve(9, instr, history, True, 30, taken, target)
+            predictor.resolve(9, instr.is_cond_branch, history, True, 30, taken, target)
         taken, target, history = predictor.predict(9, instr)
         assert taken is True
-        mispredicted = predictor.resolve(9, instr, history, True, 99, taken, target)
+        mispredicted = predictor.resolve(9, instr.is_cond_branch, history, True, 99, taken, target)
         assert mispredicted is True
 
     def test_misprediction_rate(self):

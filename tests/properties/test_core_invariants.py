@@ -4,7 +4,6 @@ import pytest
 
 from tests.conftest import COUNTER_ADDR, build_count_to, build_sender, build_spin_receiver
 
-from repro.cpu.core import Core
 from repro.cpu.delivery import DrainStrategy, FlushStrategy, TrackedStrategy
 from repro.cpu.multicore import MultiCoreSystem
 
@@ -38,40 +37,29 @@ class TestDeterminism:
         assert run() == run()
 
 
+class _RecordingFlush(FlushStrategy):
+    """Flush delivery that records every committed µop's sequence number
+    (``on_commit`` is the core's per-commit hook)."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def on_commit(self, uop):
+        self.log.append(uop.seq)
+
+
 class TestCommitOrder:
-    def test_uops_commit_in_program_order(self, monkeypatch):
-        committed_seqs = []
-        original = Core._commit_uop
-
-        def spy(self, uop):
-            committed_seqs.append(uop.seq)
-            return original(self, uop)
-
-        monkeypatch.setattr(Core, "_commit_uop", spy)
+    def test_uops_commit_in_program_order(self):
+        per_core = {0: [], 1: []}
         system = MultiCoreSystem(
             [build_sender(2), build_spin_receiver()],
-            [FlushStrategy(), FlushStrategy()],
+            [_RecordingFlush(per_core[0]), _RecordingFlush(per_core[1])],
         )
         system.connect_uipi(0, 1, user_vector=1)
         system.run(120_000, until_halted=[0])
-        # Per-core commit order must be strictly increasing.  Seqs are
-        # per-core counters; split streams by reconstructing monotone runs
-        # per core is overkill — instead check each core separately.
-        committed_seqs.clear()
-        per_core = {0: [], 1: []}
-
-        def spy2(self, uop):
-            per_core[self.core_id].append(uop.seq)
-            return original(self, uop)
-
-        monkeypatch.setattr(Core, "_commit_uop", spy2)
-        system2 = MultiCoreSystem(
-            [build_sender(2), build_spin_receiver()],
-            [FlushStrategy(), FlushStrategy()],
-        )
-        system2.connect_uipi(0, 1, user_vector=1)
-        system2.run(120_000, until_halted=[0])
         for core_id, seqs in per_core.items():
+            assert seqs, f"core {core_id} committed nothing"
             assert seqs == sorted(seqs), f"core {core_id} committed out of order"
             assert len(set(seqs)) == len(seqs), f"core {core_id} double-committed"
 
