@@ -316,6 +316,7 @@ def _print_engine_counters() -> None:
         ["macro formations", f"{g.macro_formations:,}"],
         ["macro form aborts", f"{g.macro_form_aborts:,}"],
         ["macro replays", f"{g.macro_replays:,}"],
+        ["macro parks", f"{g.macro_parks:,}"],
         ["macro replayed periods", f"{g.macro_replayed_periods:,}"],
         ["macro replayed cycles", f"{g.macro_replayed_cycles:,}"],
         ["macro replayed fraction", f"{g.macro_replayed_fraction:.1%}"],

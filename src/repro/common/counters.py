@@ -106,6 +106,9 @@ class EngineCounters:
     macro_bail_horizon: int = 0
     #: Loop-body positions the replay evaluator stepped (records produced).
     macro_evaluated_positions: int = 0
+    #: Cores parked beside awake cores until their landing cycle instead
+    #: of replayed (each lands as one replay once a period fits).
+    macro_parks: int = 0
 
     def reset(self) -> None:
         for f in fields(self):

@@ -582,7 +582,8 @@ class Core:
                     self.last_program_commit_cycle = self.cycle
             # Macro-op trace tier: feed the recorder while scanning, else
             # count committed taken backward branches (conditional or JMP)
-            # toward the hotness threshold.
+            # toward the hotness threshold, with the ROB length before this
+            # cycle's commits.
             if mac is not None:
                 if mac._scanning:
                     mac._commits.append(uop)
@@ -594,7 +595,7 @@ class Core:
                     and uop.target is not None
                     and uop.target < uop.pc
                 ):
-                    mac.note_backedge(uop.pc)
+                    mac.note_backedge(uop.pc, len(rob) + retired)
             on_commit(uop)
             # A retired uop never reads an operand or wakes a dependent
             # again.  Dropping its links breaks the producer/dependent

@@ -200,10 +200,22 @@ class TrackedStrategy(DeliveryStrategy):
         return (self._staged,) if self._staged is not None else ()
 
     def next_activity_cycle(self) -> Optional[int]:
-        # A staged interrupt may inject at any fetched instruction boundary
-        # (safepoint-gated); step through that window.
-        if self._staged is not None:
-            return self.core.cycle + 1
+        # A staged interrupt injects at a fetched instruction boundary
+        # (safepoint-gated), which fetch reaches only while it is not
+        # stopped (uiret, halt, drain), with no delivery in flight and UIF
+        # set, and not before its stall ends.  Whatever lifts one of those
+        # is a commit, a completion or a squash, which wakes the core
+        # anyway.
+        core = self.core
+        if (
+            self._staged is not None
+            and core.wait_reason is None
+            and core.delivery_state is None
+            and core.uintr.uif
+        ):
+            horizon = core.cycle + 1
+            stall = core.fetch_stall_until
+            return stall if stall > horizon else horizon
         return None
 
     def on_cycle(self) -> None:

@@ -8,13 +8,15 @@ rather than the simulated frontend:
 1. **Detect** — :class:`repro.cpu.hotness.HotnessTracker` counts committed
    taken backward branches; crossing the threshold makes the core hot.
 2. **Record** — at a cycle boundary where every live core due to step is
-   hot (or, mid-cycle, once the due cold cores that step before them have
-   gone back to sleep), the controller opens a *window* on those cores: it
-   snapshots each one, one row of :data:`SIGMA_FIELDS` per field (ROB
-   slots, heaps, LSQ, rename map, predictor tables, caches, timers), and
-   keeps stepping them normally while logging every committed uop and
-   every load/store latency.  Every other live core must be asleep past
-   the next boundary.
+   hot and its pipeline settled (or, mid-cycle, once the due cold cores
+   that step before them have gone back to sleep), the controller opens a
+   *window* on those cores: it snapshots each one, one row of
+   :data:`SIGMA_FIELDS` per field (ROB slots, heaps, LSQ, rename map,
+   predictor tables, caches, timers), and keeps stepping them normally
+   while logging every committed uop and every load/store latency.  Every
+   other live core must be asleep past the next boundary, except beside a
+   *solo* window: one hot core with no load or store in flight, armed
+   while another core stays awake, which may only park (step 4).
 3. **Match** — at each later boundary where every window core is due, it
    looks for the *shifted repeat* of every snapshot at one common
    ``delta``: the same pipeline picture with every sequence number
@@ -42,7 +44,15 @@ rather than the simulated frontend:
    is capped by every notification-visible horizon: run end, the event
    timeline (fault injections, watches), each window core's armed timer
    deadlines and functional exit, and every sleeping core's next
-   activity.  The global clock then jumps ``n * delta``.
+   activity.  The global clock then jumps ``n * delta``.  A window of one
+   core whose body touches no memory and whose exit is solved is instead
+   *parked* when a sleeper would wake first: it cannot see another core
+   or be seen by one except through notifications, so it becomes a
+   sleeper whose horizon is its landing (its exit, own timers, the run
+   end or the timeline head), the other cores keep stepping, and
+   :meth:`MacroController.land` applies the whole periods that fit before
+   it wakes — at its landing, before any timeline event fires, or where
+   the run stops — and steps it natively through the rest.
 5. **Bail** — anything else — a pending interrupt, an armed fault
    interceptor, a latency or branch divergence, a sleeper that steps —
    either blocks formation or caps ``n``, and the interpreter resumes at
@@ -57,8 +67,11 @@ last wrote.  Loop bodies cannot signal (``SENDUIPI`` is not supported).  A
 sleeping core changes no state before its cached ``_next_activity`` (its
 external wakeups arrive through the timeline, which caps ``n`` already); a
 window is dropped as soon as any sleeper's horizon moves, and a replay
-stops on the earliest one, where that core steps natively.  A single core
-replaying beside sleepers is the one-core case of the same window.
+stops on the earliest one, where that core steps natively.  Every other
+live core must be asleep unless the window is one memory-free core, which
+parks instead of jumping the clock, so awake cores do not matter to it.  A
+single core replaying beside sleepers is the one-core case of the same
+window, and a parked core is one more sleeper to every other window.
 
 Everything here reads only the cores it was handed — no wall clock, no
 mutable module globals (detlint PRO104) — so replay is simulation-pure and
@@ -98,6 +111,7 @@ from repro.cpu.backend import (
     X_XOR,
     UOp,
 )
+from repro.cpu.core import FAR_FUTURE
 from repro.cpu.delivery import DrainStrategy, FlushStrategy, TrackedStrategy
 from repro.cpu.hotness import HotnessTracker
 from repro.cpu.isa import Op
@@ -739,12 +753,12 @@ def _proven(core, snap: _Snapshot, commits: Sequence[UOp], proof: _Proof):
     to a proven one up to the shift of its clocks and sequence numbers
     steps one period into the shifted image of the proven match.  The
     rows the snapshots do not hold cannot break that here: the loop
-    touches no memory (so neither the shared words nor the data caches),
-    the window opened with no interrupt work and no other core awake, and
-    on_boundary has checked at every boundary since that none arrived, no
-    core woke and nothing was squashed.  Counters advance freely between
-    windows; only their per-window moves are applied, from the live
-    core."""
+    touches no memory (so neither the shared words nor the data caches
+    matter, and other cores, awake or not, reach it only through
+    notifications), the window opened with no interrupt work, and
+    on_boundary has checked at every boundary since that none arrived and
+    nothing was squashed.  Counters advance freely between windows; only
+    their per-window moves are applied, from the live core."""
     cc = proof.cc
     if core.cycle - snap.t0 != proof.delta or len(commits) != cc:
         return None
@@ -1417,6 +1431,22 @@ class _Plan(NamedTuple):
     l2: Optional[_CacheOverlay]
 
 
+class _Park(NamedTuple):
+    """A core parked on its plan (see :meth:`MacroController._park`): it
+    matched at cycle ``t1`` and may apply up to ``n`` periods; it stays hot
+    after landing there if ``hot`` (the timeline head bounded ``n``)."""
+
+    rec: "CoreRecorder"
+    plan: _Plan
+    t1: int
+    n: int
+    hot: bool
+
+    @property
+    def landing(self) -> int:
+        return self.t1 + self.n * self.plan.match[1]
+
+
 class CoreRecorder:
     """One core's share of the macro tier, installed on ``core._macro``:
     its loop hotness and, while a window is open, its snapshot and the uops
@@ -1432,6 +1462,10 @@ class CoreRecorder:
         "snap",
         "mem_log",
         "proof",
+        "_sizes_at",
+        "_sizes",
+        "_steps",
+        "_drift",
     )
 
     def __init__(self, core, owner: "MacroController") -> None:
@@ -1449,11 +1483,41 @@ class CoreRecorder:
         #: The last window of this core alone that a full sigma match
         #: proved, if its loop touched no memory (see :func:`_proven`).
         self.proof: Optional[_Proof] = None
+        #: The ROB length and IQ count before the last cycle that committed
+        #: a back-edge (``_sizes_at``), their changes from the cycle before,
+        #: and whether either moved the same way twice (see :meth:`settled`).
+        self._sizes_at = -2
+        self._sizes = (0, 0)
+        self._steps = (0, 0)
+        self._drift = False
 
-    def note_backedge(self, pc: int) -> None:
-        if not self._scanning and self.hotness.note_backedge(pc) is not None:
-            self.hot_until = self.core.cycle + MAX_SCAN
+    def note_backedge(self, pc: int, rob_len: int) -> None:
+        """A committed taken backward branch, in a cycle that began with
+        ``rob_len`` uops in the ROB (commit leaves the IQ count alone)."""
+        cycle = self.core.cycle
+        if self._sizes_at != cycle:
+            sizes = (rob_len, self.core.iq_count)
+            if self._sizes_at == cycle - 1:
+                (rob0, iq0), (rob_step, iq_step) = self._sizes, self._steps
+                steps = (rob_len - rob0, sizes[1] - iq0)
+                self._drift = steps[0] * rob_step > 0 or steps[1] * iq_step > 0
+            else:
+                steps = (0, 0)
+                self._drift = False
+            self._sizes_at = cycle
+            self._sizes = sizes
+            self._steps = steps
+        if self.hotness.note_backedge(pc) is not None:
+            self.hot_until = cycle + MAX_SCAN
             self.owner.busy = True
+
+    def settled(self, cycle: int) -> bool:
+        """Is the core's pipeline not still filling or draining?  A ROB or
+        issue queue that grew (or shrank) across each of the two cycles
+        before this boundary is drifting, and a window armed on it could
+        not return to the snapshot (as after a handler returns into a tight
+        loop, whose back-end drains for a few dozen cycles)."""
+        return not self._drift or self._sizes_at < cycle - 1
 
 
 class MacroController:
@@ -1465,20 +1529,26 @@ class MacroController:
     the timeline drain and before any core steps; it returns the number of
     cycles a replay just covered (0 when the cores should simply step).
     When it leaves :attr:`recheck` set, the run loop calls
-    :meth:`on_recheck` that cycle just before that core steps."""
+    :meth:`on_recheck` that cycle just before that core steps.  A core it
+    parked sleeps until :attr:`landing`, where the run loop calls
+    :meth:`land` before the timeline drains (and for every parked core
+    before any timeline event fires, and when the run stops)."""
 
     __slots__ = (
         "recorders",
         "busy",
         "recheck",
+        "landing",
         "_timeline",
         "_scanning",
+        "_solo",
         "_window",
         "_sleepers",
         "_quiet",
         "_t0",
         "_scan_deadline",
         "_rescans",
+        "_parked",
     )
 
     def __init__(self, cores, timeline: Sequence[Tuple]) -> None:
@@ -1487,8 +1557,13 @@ class MacroController:
         #: The first hot core of a window that may open this cycle once
         #: the cold cores stepping before it have gone back to sleep.
         self.recheck = None
+        #: The earliest landing cycle of a parked core (FAR_FUTURE: none).
+        self.landing = FAR_FUTURE
         self._timeline = timeline
         self._scanning = False
+        #: The open window has one core, armed while another core was
+        #: awake: it may park but never jump the clock.
+        self._solo = False
         #: The recorders of the open window's cores, and the other live
         #: cores, asleep when it armed.
         self._window: Tuple[CoreRecorder, ...] = ()
@@ -1499,6 +1574,7 @@ class MacroController:
         self._scan_deadline = 0
         #: Consecutive windows the outside world ended without a replay.
         self._rescans = 0
+        self._parked: List[_Park] = []
 
     # -- the boundary hook ----------------------------------------------
     def on_boundary(self, cycle: int, end: int) -> int:
@@ -1570,16 +1646,20 @@ class MacroController:
 
     def _try_arm(self, cycle: int) -> None:
         """Open a window on every live core due at this boundary (and not
-        yet stepped in this cycle), if each is hot and eligible and every
-        other live core sleeps past the next one.  A hot core waits while
-        another core is not ready; one that is not eligible itself, or
-        lacks headroom, goes cold.  Due cold cores that step before every
-        hot one may go back to sleep in this cycle's step, so then the
-        window waits for :meth:`on_recheck` (the naive stepper steps cores
-        in index order, so the hot ones have not stepped yet)."""
+        yet stepped in this cycle), if each is hot, eligible and settled
+        (:meth:`CoreRecorder.settled`) and every other live core sleeps past
+        the next boundary.  Due cold cores that step before every hot one
+        may go back to sleep in this cycle's step, so then the window waits
+        for :meth:`on_recheck` (the naive stepper steps cores in index
+        order, so the hot ones have not stepped yet).  While another core
+        stays awake, a window opens on the first such core with no load or
+        store in flight alone, a solo window that may only park
+        (:meth:`_replay`).  A hot core that is not eligible, or lacks
+        headroom, goes cold."""
         window = []
         sleepers = []
-        blocked = False
+        awake = False  # a live core outside the window steps before the next boundary
+        late = False  # one other than a due cold core ahead of every hot one
         for rec in self.recorders:
             core = rec.core
             if core.halted:
@@ -1587,26 +1667,36 @@ class MacroController:
             na = core._next_activity
             if na > cycle + 1:
                 sleepers.append(core)
-            elif na > cycle:
-                break
-            elif rec.hot_until < cycle:
-                if window:
-                    break
-                blocked = True
-            elif not _eligible(core):
-                self._cool((rec,))
-                break
-            else:
-                window.append(rec)
-        else:
-            if window:
-                if blocked:
-                    self.recheck = window[0].core
-                    return
+                continue
+            if na <= cycle:
+                if rec.hot_until >= cycle:
+                    if not _eligible(core):
+                        self._cool((rec,))
+                    elif rec.settled(cycle):
+                        window.append(rec)
+                        continue
+                elif not window:
+                    awake = True
+                    continue
+            awake = late = True
+        if window:
+            if not awake:
                 if self._headroom(window, cycle):
                     self._arm(window, sleepers, cycle)
                     return
                 self._cool(window)
+            elif not late:
+                self.recheck = window[0].core
+                return
+            else:
+                for rec in window:
+                    lsq = rec.core.lsq
+                    if not lsq.loads and not lsq.stores:
+                        if self._headroom((rec,), cycle):
+                            self._arm((rec,), (), cycle, solo=True)
+                            return
+                        self._cool((rec,))
+                        break
         for rec in self.recorders:
             if rec.hot_until >= cycle:
                 return
@@ -1630,7 +1720,7 @@ class MacroController:
             for rec in window
         )
 
-    def _arm(self, window, sleepers, cycle: int) -> None:
+    def _arm(self, window, sleepers, cycle: int, solo: bool = False) -> None:
         snaps = []
         for rec in window:
             _flush_idle(rec.core, cycle)
@@ -1647,6 +1737,7 @@ class MacroController:
             rec.core._macro_rec = rec.mem_log
             rec._scanning = True
         self._window = tuple(window)
+        self._solo = solo
         self._sleepers = tuple(sleepers)
         self._quiet = _horizons(sleepers)
         self._t0 = cycle
@@ -1700,12 +1791,20 @@ class MacroController:
         # sleeper's wake-up (``n_bound == wake_bound``) leaves the loops
         # hot; an own-timer deadline does not (that core is about to take
         # an interrupt).
+        # A window of one core whose body touches no memory may park it
+        # instead (:meth:`_park`): the sleepers' horizons do not bound it,
+        # and a solo window must park, since awake cores keep the clock.
         n_bound = (end - cycle) // delta
         if n_bound > MAX_PERIODS:
             n_bound = MAX_PERIODS
         horizon_bound = n_bound
         wake_bound = None
         head = self._timeline_head()
+        head_bound = None if head is None else (head - cycle) // delta
+        park_bound = None
+        if len(window) == 1:
+            park_bound = n_bound if head is None else min(n_bound, head_bound)
+            park_bound = _timers_bound(window[0].core, cycle, delta, park_bound)
         wake = min(self._quiet) if self._quiet else None
         if head is not None and (wake is None or head < wake):
             wake = head
@@ -1715,11 +1814,10 @@ class MacroController:
                 n_bound = wake_bound = bound
         for rec in window:
             n_bound = _timers_bound(rec.core, cycle, delta, n_bound)
-        if n_bound < 1:
-            GLOBAL_COUNTERS.macro_bail_event += 1
-            GLOBAL_COUNTERS.macro_form_aborts += 1
-            self._end(cycle + MAX_SCAN if n_bound == wake_bound else -1)
-            return 0
+        if self._solo:
+            n_bound = 0
+        if n_bound < 1 and (park_bound is None or park_bound < 1):
+            return self._bail_event(cycle, n_bound == wake_bound)
 
         bodies = []
         for rec in window:
@@ -1728,6 +1826,12 @@ class MacroController:
                 self._abort_form()
                 return 0
             bodies.append(body)
+        memory_free = len(window) == 1 and not any(
+            slot[0] is _LOAD or slot[0] is _STORE for slot in bodies[0]
+        )
+        parkable = memory_free and park_bound >= 1
+        if not parkable and n_bound < 1:
+            return self._bail_event(cycle, n_bound == wake_bound)
 
         # Every core's recorded window must reproduce under the evaluator.
         # A load-free affine body's exit is then solved in closed form; the
@@ -1745,15 +1849,23 @@ class MacroController:
                 return 0
             evals.append(ev)
             templates.append(template)
-        n = n_bound
+        bound = park_bound if parkable else n_bound
+        n = bound
         stepped = []
         for rec, ev, template in zip(window, evals, templates):
             cc = len(ev.body)
             rob_len = len(rec.core.rob)
-            if template or not ev.solve((n_bound + 1) * cc + rob_len):
+            if template or not ev.solve((bound + 1) * cc + rob_len):
                 stepped.append((ev, cc, rob_len))
             elif ev.exit is not None:
                 n = min(n, (ev.exit - rob_len) // cc - 1)
+        if parkable and stepped:
+            # No closed form, so no landing to park on: replay as far as
+            # the sleepers allow.
+            parkable = False
+            n = n_bound
+            if n < 1:
+                return self._bail_event(cycle, n_bound == wake_bound)
         reach = n if len(stepped) == 1 else 1
         while stepped:
             for ev, cc, rob_len in stepped:
@@ -1774,6 +1886,8 @@ class MacroController:
             GLOBAL_COUNTERS.macro_bail_divergence += 1
             self._end()
             return 0
+        if parkable and n > n_bound:
+            return self._park(matches[0], evals[0], cycle, n, n == head_bound, proved)
 
         # Cores share a window only if they cannot see each other inside
         # it: no line one stores within its evaluated horizon may be
@@ -1820,12 +1934,8 @@ class MacroController:
 
         for plan in plans:
             plan.ev.settle(n, len(plan.core.rob))
-        if not proved and len(plans) == 1 and not templates[0]:
-            rec = window[0]
-            body = plans[0].ev.body
-            if not any(slot[0] is _LOAD or slot[0] is _STORE for slot in body):
-                cc, delta, retired = matches[0]
-                rec.proof = _Proof(rec.snap, cc, delta, tuple(q1 for _, q1 in retired))
+        if memory_free and not proved:
+            self._prove(matches[0])
         self._apply(plans, n)
         GLOBAL_COUNTERS.macro_replays += 1
         GLOBAL_COUNTERS.macro_replayed_periods += n
@@ -1839,6 +1949,86 @@ class MacroController:
         stay_hot = n == n_bound == wake_bound
         self._end(cycle + n * delta + MAX_SCAN if stay_hot else -1)
         return n * delta
+
+    def _bail_event(self, cycle: int, stay_hot: bool) -> int:
+        """No period fits before the next horizon: close the window, its
+        loops hot if a sleeper's wake-up or the timeline stopped it."""
+        GLOBAL_COUNTERS.macro_bail_event += 1
+        GLOBAL_COUNTERS.macro_form_aborts += 1
+        self._end(cycle + MAX_SCAN if stay_hot else -1)
+        return 0
+
+    def _prove(self, match) -> None:
+        """Keep the matched window of one memory-free core as its proof."""
+        rec = self._window[0]
+        cc, delta, retired = match
+        rec.proof = _Proof(rec.snap, cc, delta, tuple(q1 for _, q1 in retired))
+
+    def _park(self, match, ev: _Evaluation, cycle: int, n: int, hot: bool, proved: bool) -> int:
+        """Park the window's one core instead of replaying it: a loop that
+        touches no memory cannot see another core or be seen by one, except
+        through notifications, so the others keep stepping while it sleeps
+        until its landing, ``n`` periods on.  ``n`` stops at its solved
+        exit, its own timer deadlines, the run end or the timeline head
+        (``hot``); :meth:`land` applies the periods that fit before the
+        cycle where the core wakes."""
+        rec = self._window[0]
+        core = rec.core
+        if not proved:
+            self._prove(match)
+        park = _Park(rec, _Plan(core, rec.snap, match, ev, None, None), cycle, n, hot)
+        self._parked.append(park)
+        landing = park.landing
+        if landing < self.landing:
+            self.landing = landing
+        core._next_activity = landing
+        GLOBAL_COUNTERS.macro_parks += 1
+        self._end()
+        return 0
+
+    def land(self, cycle: int, every: bool = False) -> int:
+        """Bring each parked core whose landing has come (with ``every``,
+        each parked core: a timeline event is due, or the run stops) to its
+        state before this cycle steps.  Returns the cycles it stepped."""
+        stepped = 0
+        parked = []
+        for park in self._parked:
+            if every or park.landing <= cycle:
+                stepped += self._land(park, cycle)
+            else:
+                parked.append(park)
+        self._parked = parked
+        self.landing = min([park.landing for park in parked], default=FAR_FUTURE)
+        return stepped
+
+    def _land(self, park: _Park, cycle: int) -> int:
+        """Apply the whole periods that fit before ``cycle``, then step the
+        core natively through the rest: alone, since nothing it does is
+        seen by another core.  It stays hot if it woke before its landing,
+        or the timeline head chose the landing."""
+        rec, plan, t1, n, hot = park
+        core = plan.core
+        delta = plan.match[1]
+        m = (cycle - t1) // delta
+        if m > n:
+            raise SimulationError(f"core {core.core_id} landed at {cycle}, past {park.landing}")
+        if m:
+            plan.ev.settle(m, len(core.rob))
+            self._apply((plan,), m)
+            GLOBAL_COUNTERS.macro_replays += 1
+            GLOBAL_COUNTERS.macro_replayed_periods += m
+            GLOBAL_COUNTERS.macro_replayed_cycles += m * delta
+        # The run loop opened an idle stretch on the parked core; the
+        # periods and the steps below account its cycles instead.
+        core._idle_anchor = -1
+        start = t1 + m * delta
+        for c in range(start, cycle):
+            core.step(c)
+        core._next_activity = 0
+        if hot or m < n:
+            rec.hot_until = cycle + MAX_SCAN
+            self.busy = True
+        return cycle - start
 
     def _checked(self, rec: CoreRecorder, ev: _Evaluation):
         """The core's memory template if its recorded window reproduces

@@ -152,8 +152,10 @@ class MultiCoreSystem:
         quiescent the global clock jumps to the earliest of the cores' next
         activity and the timeline head.  Any timeline event (IPIs, device
         interrupts) invalidates every core's cached horizon, since external
-        wakeups arrive through the timeline.  Results are byte-identical to
-        the naive stepper.
+        wakeups arrive through the timeline.  A core the macro tier parked
+        (``REPRO_MACRO``) is a sleeper until its landing; it lands there,
+        before any timeline event fires, and where the run stops.  Results
+        are byte-identical to the naive stepper.
         """
         watch = (
             [self.cores[i] for i in until_halted] if until_halted is not None else None
@@ -190,10 +192,26 @@ class MultiCoreSystem:
             for i, core in enumerate(cores):
                 core._next_activity = 0  # conservative: step the first cycle
                 core._macro = mac.recorders[i] if mac is not None else None
+            # The watched cores, and how many of them are still live (-1:
+            # no watch).  A core halts only in its own step, so the loop
+            # counts down there instead of scanning the watch each cycle.
+            watched = frozenset(watch or ())
+            live_watched = -1 if watch is None else sum(not core.halted for core in watched)
             cycle = start
-            if watch is None or not all(core.halted for core in watch):
+            # The earliest landing of a core the macro tier parked (see
+            # ``MacroController.land``), FAR_FUTURE while none is parked.
+            landing = FAR_FUTURE
+            if live_watched != 0:
                 while cycle < end:
+                    if cycle >= landing:
+                        stepped += mac.land(cycle)
+                        landing = mac.landing
                     if timeline and timeline[0][0] <= cycle:
+                        if landing < FAR_FUTURE:
+                            # An event may reach a parked core: land them
+                            # all before it fires.
+                            stepped += mac.land(cycle, every=True)
+                            landing = FAR_FUTURE
                         while timeline and timeline[0][0] <= cycle:
                             heappop(timeline)[2]()
                         # External wakeups (IPIs, device interrupts) arrive
@@ -205,8 +223,11 @@ class MultiCoreSystem:
                         # One boundary for every core: a replay covers
                         # [cycle, cycle + jump) for every core of its window
                         # in O(1), and every other live core sleeps through
-                        # it (the controller opens their idle anchors).
+                        # it (the controller opens their idle anchors).  A
+                        # window of one memory-free core may instead park
+                        # it, a sleeper until its landing cycle.
                         jump = mac.on_boundary(cycle, end)
+                        landing = mac.landing
                         if jump:
                             cycle += jump
                             self.cycle = cycle
@@ -237,6 +258,8 @@ class MultiCoreSystem:
                         core.step(cycle)
                         stepped += 1
                         if core.halted:
+                            if core in watched:
+                                live_watched -= 1
                             continue
                         backoff = core._na_backoff
                         if backoff > 0:
@@ -258,7 +281,7 @@ class MultiCoreSystem:
                         if na < min_next:
                             min_next = na
                     self.cycle = cycle + 1
-                    if watch is not None and all(core.halted for core in watch):
+                    if live_watched == 0:
                         break
                     if min_next > cycle + 1:
                         # Everything is quiet: jump to the earliest activity,
@@ -276,9 +299,12 @@ class MultiCoreSystem:
                             cycle = target
                             continue
                     cycle += 1
-            # Flush outstanding idle windows: the naive stepper accounts
-            # every non-halted core through the last executed iteration.
+            # Land the parked cores and flush outstanding idle windows: the
+            # naive stepper steps every non-halted core through the last
+            # executed iteration.
             stop = self.cycle
+            if landing < FAR_FUTURE:
+                stepped += mac.land(stop, every=True)
             for core in cores:
                 anchor = core._idle_anchor
                 if anchor >= 0:

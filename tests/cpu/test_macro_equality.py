@@ -9,7 +9,7 @@ results — final cycle count, every core's full :class:`CoreStats` snapshot,
 every interrupt-delivery trace timestamp, and the architectural state:
 every core's registers and a digest of the shared memory words.
 
-Six groups of cells probe the bail paths and windows specifically:
+Eight groups of cells probe the bail paths and windows specifically:
 
 * **timer intervals** — the KB timer deadline is a replay horizon; each
   interval puts the deadline at a different offset inside the hot loop, so
@@ -25,27 +25,40 @@ Six groups of cells probe the bail paths and windows specifically:
 * **sleeping neighbours** — the §6.1 two-core shape (a dependent-load
   chain feeding the stack pointer, plus a dedicated rdtsc-spin UIPI
   sender) and the Figure 5 poll-timer shape: the spinning core replays
-  alone while the other core sleeps on memory, so replay must stop at the
-  sleeper's wake-up and RDTSC readings must shift with the clock.  A third
+  alone while the other core sleeps on memory, or parks while it wakes on
+  every DRAM return, and RDTSC readings must shift with the clock.  A third
   cell wakes a sleeper with device interrupts that land inside the
   replaying core's recording windows, which must drop them; a fourth puts
   the sleeper *before* the replaying core and fires no-op timeline events
   on its match boundaries.
-* **joint windows** — two cores that both loop every cycle can only
-  replay together, in one window matched at one common period: Figure 4's
-  count loop and base64 (which stores inside the window) beside the
-  rdtsc-spinning UIPI timer core, and Table 2's end-to-end pair (whose
-  receiver loops on an unconditional ``jmp``).  The ``_apply`` spy must
-  see a replay that advanced both cores together.  A conflict cell has one
-  loop store the word the other loads: no window may cover that line.  A
-  stall cell keeps one window core asleep on DRAM across many boundaries
-  beside a spinner, with a load blocked behind an unresolved store.
+* **two looping cores** — Figure 4's count loop and base64 (which stores
+  inside the window) beside the rdtsc-spinning UIPI timer core, and Table
+  2's end-to-end pair (whose receiver loops on an unconditional ``jmp``):
+  a loop that touches no memory parks beside the other, which the
+  ``_park`` spy must see; Table 2's receiver must also arm only once its
+  back-end has drained after each handler.  Loops that touch memory
+  replay together, in one window matched at one common period: a stall
+  cell keeps one window core asleep on DRAM across many boundaries
+  beside a loading spinner, with a load blocked behind an unresolved
+  store, and the ``_apply`` spy must see both advanced together.  A
+  conflict cell has one loop store the word the other loads: no window
+  may cover that line.
 * **closed-form exits** — load-free affine loops, whose exits the
   evaluator solves instead of stepping to them: Figure 4's count loop at
   four consecutive lengths, alone and beside the UIPI timer core, a
   spinner at four consecutive deadlines (one lands exactly on a reading),
   and a down-counting ``subi; bnei`` loop.  The spy must see every replay
   take the solved path.
+* **parked cores** — a memory-free solved loop parks beside awake cores
+  and lands at its plan's end, before a timeline event, or where the run
+  stops: a spinner whose exit lands at each cycle of its period beside a
+  DRAM chase, UIPIs sent to a parked count loop by a core that chases
+  memory between sends, a KB timer armed on a parked core, and a run
+  that stops on a watched core while another is parked (then runs on).
+  A ``_land`` spy shows where each landed.
+* **tracked delivery with fetch stopped** — an interrupt staged while the
+  core waits for its ``halt`` to commit cannot inject, so the fast legs
+  skip those cycles.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from repro.cpu import isa, macroop
 from repro.cpu.delivery import DrainStrategy, FlushStrategy, TrackedStrategy
 from repro.cpu.macroop import MacroController
 from repro.cpu.cache import SharedMemory
+from repro.cpu.core import Core
 from repro.cpu.multicore import MultiCoreSystem
 from repro.cpu.program import ProgramBuilder
 from repro.experiments import cycletier
@@ -198,12 +212,15 @@ def _observe_sleeper_first():
 
 
 class Replay(NamedTuple):
-    """One replay of the macro-on leg, as the ``_apply`` spy saw it."""
+    """One replay of the macro-on leg, as the ``_apply`` spy saw it, or one
+    park, as the ``_park`` spy saw it (a park applies its periods when it
+    lands, which the ``_apply`` spy sees as a replay of its own)."""
 
     window: Tuple[int, ...]  # ids of the cores it advanced together
     live: Tuple[int, ...]  # ids of every core not halted at that moment
     lines: Tuple[frozenset, ...]  # per window core: the lines it touched
     solved: Tuple[bool, ...]  # per window core: was its exit solved in closed form?
+    parked: bool = False
 
 
 def _three_legs(monkeypatch, observe):
@@ -236,11 +253,27 @@ def _three_legs(monkeypatch, observe):
         )
         return real_apply(self, plans, n)
 
+    real_park = MacroController._park
+
+    def park(self, match, ev, cycle, n, hot, proved):
+        replays.append(
+            Replay(
+                (self._window[0].core.core_id,),
+                tuple(rec.core.core_id for rec in self.recorders if not rec.core.halted),
+                (frozenset(),),
+                (ev._form is not None,),
+                parked=True,
+            )
+        )
+        return real_park(self, match, ev, cycle, n, hot, proved)
+
     monkeypatch.setattr(MacroController, "_apply", apply)
+    monkeypatch.setattr(MacroController, "_park", park)
     monkeypatch.setenv(ENV_MACRO, "1")
     GLOBAL_COUNTERS.reset()
     fast_on = observe()
     monkeypatch.setattr(MacroController, "_apply", real_apply)
+    monkeypatch.setattr(MacroController, "_park", real_park)
     return (naive, fast_off, fast_on), replays
 
 
@@ -252,6 +285,14 @@ def _beside_sleeper(replays: Sequence[Replay]) -> bool:
 def _joint(replays: Sequence[Replay]) -> bool:
     """Did some replay advance two live cores together?"""
     return any(len(replay.window) >= 2 for replay in replays)
+
+
+def _parked_beside(replays: Sequence[Replay], core_id: int) -> bool:
+    """Did this core park while another core was live?"""
+    return any(
+        replay.parked and replay.window == (core_id,) and len(replay.live) > 1
+        for replay in replays
+    )
 
 
 CELLS = [
@@ -280,9 +321,8 @@ def test_macro_tier_matches_naive_and_macro_off(monkeypatch, strategy, interval)
 @pytest.mark.parametrize("strategy", ("tracked", "flush"))
 def test_sec61_cells_identical_with_live_neighbour(monkeypatch, strategy, chain):
     """Also the non-vacuity witness for the neighbour path: the sender's
-    rdtsc spin is replayed while the receiver is live (not halted), and
-    some window opens mid-cycle, after the receiver (core 0) has stepped
-    and gone back to sleep."""
+    rdtsc spin parks while the receiver is live (not halted), and some
+    window opens mid-cycle, after the receiver (core 0) has stepped."""
     mid_cycle = []
     real_recheck = MacroController.on_recheck
 
@@ -297,6 +337,7 @@ def test_sec61_cells_identical_with_live_neighbour(monkeypatch, strategy, chain)
     _assert_identical(*legs)
     assert GLOBAL_COUNTERS.macro_replays >= 1
     assert _beside_sleeper(replays)
+    assert _parked_beside(replays, 1), "the spinner never parked beside the receiver"
     assert any(mid_cycle), "no window opened after the receiver stepped"
 
 
@@ -320,25 +361,27 @@ def test_proven_windows_match_as_the_full_sigma_match(monkeypatch, strategy):
         return match
 
     monkeypatch.setattr(macroop, "_proven", checked)
-    legs, replays = _three_legs(monkeypatch, lambda: _observe_sec61(strategy, 50))
+    legs, replays = _three_legs(monkeypatch, lambda: _observe_div_loop_beside_chase(strategy))
     _assert_identical(*legs)
     assert len(proven) >= 10, "no window replayed on a proof"
     assert len(replays) > len(proven), "every replay came from a proof"
 
 
-def _observe_div_loop_beside_chase():
+def _observe_div_loop_beside_chase(strategy_name: str = "flush"):
     """A memory-free loop whose add waits on a divide while reading an
     older, already retired increment, beside a DRAM pointer chase whose
-    wake-ups cut every replay short: the loop re-arms on a proof each time,
-    and some proofs carry a retired producer."""
+    wake-ups cut every replay short (a divide has no closed form, so the
+    loop cannot park): the loop re-arms on a proof each time, and some
+    proofs carry a retired producer."""
     loop = ProgramBuilder("div_loop")
     loop.emit(isa.movi(1, 0), isa.movi(2, 1_500), isa.movi(4, 1 << 40), isa.movi(5, 1))
     loop.label("loop")
     loop.emit(isa.addi(1, 1, 1), isa.div(4, 4, 5), isa.add(3, 1, 4), isa.blt(1, 2, "loop"))
     loop.emit(isa.halt())
     chase = mb.make_pointer_chase(4096, stride=64, iterations=300)
+    strategy = STRATEGIES[strategy_name]
     system = MultiCoreSystem(
-        [chase.program, loop.build()], [FlushStrategy(), FlushStrategy()], trace=True
+        [chase.program, loop.build()], [strategy(), strategy()], trace=True
     )
     chase.install(system.shared)
     system.run(MAX_CYCLES, until_halted=[1])
@@ -487,36 +530,66 @@ def _observe_beside_timer(workload, strategy_name: str, interval: int, expected:
 @pytest.mark.parametrize("strategy", ("flush", "tracked"))
 def test_count_loop_beside_timer_core_replays_jointly(monkeypatch, strategy):
     """Figure 4's two-core shape, shortened: a count loop beside the UIPI
-    timer core, both looping every cycle, so only a joint window replays."""
+    timer core, both looping every cycle.  Neither loop touches memory,
+    so each parks beside the other."""
     legs, replays = _three_legs(
         monkeypatch,
         lambda: _observe_beside_timer(mb.make_count_loop(5_000), strategy, 2_000, 5_000),
     )
     _assert_identical(*legs)
-    assert _joint(replays), "no replay advanced both cores together"
+    assert _parked_beside(replays, 0) and _parked_beside(replays, 1), replays
 
 
 def test_base64_beside_timer_core_replays_jointly(monkeypatch):
     """Stores inside the window: base64 writes its output array while the
-    timer core spins."""
+    timer core spins, parked, so base64 replays beside it."""
     legs, replays = _three_legs(
         monkeypatch,
         lambda: _observe_beside_timer(mb.make_base64(iterations=300), "flush", 3_000, 6_000),
     )
     _assert_identical(*legs)
-    assert _joint(replays), "no replay advanced both cores together"
+    assert _parked_beside(replays, 1), "the timer core never parked"
+    assert any(not replay.parked and replay.window == (0,) for replay in replays)
+
+
+def _end_to_end_pair():
+    return _view(run_end_to_end_pair(samples=2, gap=4_000))
 
 
 def test_table2_end_to_end_pair_replays_jointly(monkeypatch):
     """Table 2's pair: a counted gap loop beside an ``addi; jmp`` receiver
-    (whose back-edge is an unconditional JMP)."""
-
-    def observe():
-        return _view(run_end_to_end_pair(samples=2, gap=4_000))
-
-    legs, replays = _three_legs(monkeypatch, observe)
+    (whose back-edge is an unconditional JMP, so its loop never exits):
+    both park, and each UIPI lands the parked receiver."""
+    legs, replays = _three_legs(monkeypatch, _end_to_end_pair)
     _assert_identical(*legs)
-    assert _joint(replays), "no replay advanced both cores together"
+    assert _parked_beside(replays, 0) and _parked_beside(replays, 1), replays
+
+
+def test_receiver_arms_once_its_pipeline_settles(monkeypatch):
+    """After each handler, Table 2's receiver returns into its ``addi;
+    jmp`` loop with a ROB and issue queue that drain for a few dozen
+    cycles.  A window armed there could never match and would step both
+    cores to its scan deadline; the receiver arms once the drain ends."""
+    armed = []
+    expired = []
+    real_arm = MacroController._arm
+    real_retry = MacroController._retry
+
+    def arm(self, window, sleepers, cycle, solo=False):
+        armed.extend(rec.core.core_id for rec in window)
+        return real_arm(self, window, sleepers, cycle, solo)
+
+    def retry(self, cycle, arm):
+        if arm:
+            expired.append(cycle)
+        return real_retry(self, cycle, arm)
+
+    monkeypatch.setattr(MacroController, "_arm", arm)
+    monkeypatch.setattr(MacroController, "_retry", retry)
+    legs, replays = _three_legs(monkeypatch, _end_to_end_pair)
+    _assert_identical(*legs)
+    assert 1 in armed and _parked_beside(replays, 1)
+    assert expired == [], f"windows ran to their scan deadline at {expired}"
 
 
 #: The stall cell's list: one node per page, each a cold DRAM miss.
@@ -526,8 +599,8 @@ STALL_STRIDE = 4096
 
 def _observe_stall_beside_spinner():
     """Core 0 chases a list of cold pages, so it sleeps on DRAM for most of
-    every period, while core 1 spins on ``addi; jmp`` and keeps the clock
-    stepping.  Each period stores through the chased pointer (its address
+    every period, while core 1 spins on ``load; addi; jmp`` (the load of a
+    word of its own keeps it from parking) and keeps the clock stepping.  Each period stores through the chased pointer (its address
     resolves on the cycle the miss returns) and then loads a fixed word the
     first period's store hit, which trains that load to wait for older
     store addresses; the next hop adds the loaded zero, so the load's issue
@@ -548,7 +621,9 @@ def _observe_stall_beside_spinner():
     chaser.emit(isa.blt(1, 2, "loop"))
     chaser.emit(isa.halt())
     spinner = ProgramBuilder("spin")
+    spinner.emit(isa.movi(7, STALL_BASE - STALL_STRIDE))
     spinner.label("loop")
+    spinner.emit(isa.load(2, 7, 0))
     spinner.emit(isa.addi(1, 1, 1))
     spinner.emit(isa.jmp("loop"))
     system = MultiCoreSystem(
@@ -664,7 +739,7 @@ def test_count_loop_beside_timer_core_solved_at_each_length(monkeypatch, length)
         lambda: _observe_beside_timer(mb.make_count_loop(length), "flush", 2_000, length),
     )
     _assert_identical(*legs)
-    assert _joint(replays), "no replay advanced both cores together"
+    assert _parked_beside(replays, 0), "the count loop never parked"
     assert _all_solved(replays), replays
 
 
@@ -720,6 +795,207 @@ def test_down_counting_sub_bne_loop_solved(monkeypatch):
     legs, replays = _three_legs(monkeypatch, lambda: _observe_alone(workload))
     _assert_identical(*legs)
     assert _all_solved(replays), replays
+
+
+# ---------------------------------------------------------------------------
+# Parked cores: a memory-free solved loop sleeps beside awake cores
+
+
+class Landing(NamedTuple):
+    """One landing of a parked core, as the ``_land`` spy saw it."""
+
+    core: int
+    cycle: int  # the cycle it landed before
+    landing: int  # the cycle its plan would have run to
+    pending: bool  # did its APIC hold an interrupt right after?
+
+
+def _landings(monkeypatch) -> List[Landing]:
+    """Spy on ``MacroController._land`` (every leg: only the macro leg
+    parks)."""
+    seen: List[Landing] = []
+    real_land = MacroController._land
+
+    def land(self, park, cycle):
+        stepped = real_land(self, park, cycle)
+        core = park.plan.core
+        seen.append(Landing(core.core_id, cycle, park.landing, bool(core.apic._pending)))
+        return stepped
+
+    monkeypatch.setattr(MacroController, "_land", land)
+    return seen
+
+
+def _observe_spinner_beside_chase(deadline: int):
+    """The closed-form spinner on core 1 beside a DRAM pointer chase on
+    core 0, whose wake-ups would cut every replay short."""
+    chase = mb.make_pointer_chase(4096, stride=64, iterations=60)
+    spinner = _spinner(deadline)
+    system = MultiCoreSystem(
+        [chase.program, spinner.program], [FlushStrategy(), FlushStrategy()], trace=True
+    )
+    chase.install(system.shared)
+    system.run(MAX_CYCLES, until_halted=[0, 1])
+    return _view(system, watched=1)
+
+
+def test_parked_spinner_exit_at_each_deadline_beside_chase(monkeypatch):
+    """The spinner parks beside the chase and lands on its solved exit,
+    which the four deadlines move across every cycle of its period: it
+    lands at its plan's end, before the chase halts, and steps the exit
+    natively."""
+    landings = _landings(monkeypatch)
+    for deadline in SPIN_DEADLINES:
+        landings.clear()
+        legs, replays = _three_legs(monkeypatch, lambda: _observe_spinner_beside_chase(deadline))
+        _assert_identical(*legs)
+        assert _parked_beside(replays, 1), replays
+        assert _all_solved(replays), replays
+        assert any(l.core == 1 and l.cycle == l.landing for l in landings), landings
+        assert legs[0]["stats"][0]["cycles"] > legs[0]["stats"][1]["cycles"], "chase ended first"
+
+
+#: The sender of the IPI cell: hops of a cold-page chase between UIPIs.
+IPI_HOPS = 6
+IPI_SENDS = 5
+IPI_BASE = 0xA0_0000
+
+
+def _observe_ipi_to_parked_core():
+    """A count loop on core 0 receives UIPIs from core 1, which chases
+    cold pages (so it sleeps on DRAM, touches memory and never parks)
+    between sends: each IPI reaches the count loop while it is parked."""
+    receiver = mb.make_count_loop(30_000)
+    sender = ProgramBuilder("chase_sender")
+    sender.emit(isa.movi(1, 0))
+    sender.emit(isa.movi(4, IPI_BASE))
+    sender.label("outer")
+    for _ in range(IPI_HOPS):
+        sender.emit(isa.load(4, 4, 0))
+    sender.emit(isa.senduipi(0))
+    sender.emit(isa.addi(1, 1, 1))
+    sender.emit(isa.blti(1, IPI_SENDS, "outer"))
+    sender.emit(isa.halt())
+    system = MultiCoreSystem(
+        [receiver.program, sender.build()], [TrackedStrategy(), FlushStrategy()], trace=True
+    )
+    receiver.install(system.shared)
+    hops = IPI_HOPS * IPI_SENDS
+    for i in range(hops + 1):
+        system.shared.write(IPI_BASE + i * STALL_STRIDE, IPI_BASE + (i + 1) * STALL_STRIDE)
+    system.connect_uipi(sender_core_id=1, receiver_core_id=0, user_vector=1)
+    system.run(MAX_CYCLES, until_halted=[0])
+    return _view(system)
+
+
+def test_ipi_to_parked_core_identical(monkeypatch):
+    """An IPI sent to a parked core lands it first, at the cycle the IPI
+    arrives, and is delivered as in the naive stepper."""
+    landings = _landings(monkeypatch)
+    legs, replays = _three_legs(monkeypatch, _observe_ipi_to_parked_core)
+    _assert_identical(*legs)
+    assert legs[0]["stats"][0]["interrupts_delivered"] == IPI_SENDS
+    assert _parked_beside(replays, 0)
+    early = [l for l in landings if l.core == 0 and l.cycle < l.landing]
+    assert early and all(not l.pending for l in early), landings
+
+
+def _observe_kb_timer_on_parked_core(interval: int):
+    """A count loop with its KB timer armed, beside a DRAM chase: the loop
+    parks, and each deadline bounds its landing."""
+    loop = mb.make_count_loop(12_000)
+    chase = mb.make_pointer_chase(4096, stride=64, iterations=120)
+    system = MultiCoreSystem(
+        [loop.program, chase.program], [TrackedStrategy(), FlushStrategy()], trace=True
+    )
+    loop.install(system.shared)
+    chase.install(system.shared)
+    system.enable_kb_timer(0)
+    system.cores[0].uintr.kb_timer.arm_periodic(interval, now=0)
+    system.run(MAX_CYCLES, until_halted=[0, 1])
+    return _view(system, watched=1)
+
+
+@pytest.mark.parametrize("interval", (2_500, 2_501))
+def test_kb_timer_on_parked_core_identical(monkeypatch, interval):
+    landings = _landings(monkeypatch)
+    legs, replays = _three_legs(monkeypatch, lambda: _observe_kb_timer_on_parked_core(interval))
+    _assert_identical(*legs)
+    assert legs[0]["stats"][0]["interrupts_delivered"] >= 3
+    assert _parked_beside(replays, 0)
+    # Landings at the plan's end, each on or just before a deadline.
+    ends = [l.cycle for l in landings if l.core == 0 and l.cycle == l.landing]
+    assert sum(-cycle % interval < 16 for cycle in ends) >= 3, landings
+
+
+def _observe_stop_while_parked():
+    """A short DRAM chase on core 0 (watched) beside a long count loop on
+    core 1: the run stops when the chase halts, with the loop parked, so
+    the loop lands at the stop cycle.  A second run goes on from there."""
+    chase = mb.make_pointer_chase(4096, stride=64, iterations=40)
+    loop = mb.make_count_loop(40_000)
+    system = MultiCoreSystem(
+        [chase.program, loop.program], [FlushStrategy(), FlushStrategy()], trace=True
+    )
+    chase.install(system.shared)
+    loop.install(system.shared)
+    system.run(MAX_CYCLES, until_halted=[0])
+    first = _view(system)
+    system.run(3_333)
+    return {"first": first, **_view(system, watched=None)}
+
+
+def test_run_stopping_while_parked_lands_at_stop(monkeypatch):
+    landings = _landings(monkeypatch)
+    legs, replays = _three_legs(monkeypatch, _observe_stop_while_parked)
+    _assert_identical(*legs)
+    assert legs[0]["first"] == legs[2]["first"]
+    assert _parked_beside(replays, 1)
+    stop = legs[0]["first"]["cycles"]
+    assert any(l.core == 1 and l.cycle == stop < l.landing for l in landings), landings
+
+
+# ---------------------------------------------------------------------------
+# Tracked delivery: a staged interrupt with fetch stopped
+
+
+def _observe_staged_while_halting():
+    """A tracked receiver fetches ``halt`` behind a chain of DRAM misses,
+    so fetch stops until the chain commits; a device interrupt that
+    arrives meanwhile is staged, and no instruction boundary can inject it
+    before the core halts."""
+    b = ProgramBuilder("halting")
+    b.emit(isa.movi(4, IPI_BASE))
+    for _ in range(3):
+        b.emit(isa.load(4, 4, 0))
+    b.emit(isa.halt())
+    b.emit_default_handler(counter_addr=mb.HANDLER_COUNTER_ADDR)
+    system = MultiCoreSystem([b.build()], [TrackedStrategy()], trace=True)
+    for i in range(4):
+        system.shared.write(IPI_BASE + i * STALL_STRIDE, IPI_BASE + (i + 1) * STALL_STRIDE)
+    system.enable_forwarding(0, vector=0x31, user_vector=3)
+    system.raise_device_interrupt(0, 0x31, delay=40)
+    system.run(MAX_CYCLES, until_halted=[0])
+    return _view(system)
+
+
+def test_staged_interrupt_sleeps_while_fetch_is_stopped(monkeypatch):
+    """The core's horizon, asked while an interrupt is staged and fetch is
+    stopped, lies past the next cycle: the fast legs skip there."""
+    horizons = []
+    real_next = Core.next_activity_cycle
+
+    def next_activity_cycle(self):
+        horizon = real_next(self)
+        if self.strategy.pending_inventory() and self.wait_reason == "halt":
+            horizons.append(horizon - self.cycle)
+        return horizon
+
+    monkeypatch.setattr(Core, "next_activity_cycle", next_activity_cycle)
+    legs, _ = _three_legs(monkeypatch, _observe_staged_while_halting)
+    _assert_identical(*legs)
+    assert any(event[1] == "tracked_accept" for event in legs[0]["trace"])
+    assert any(ahead > 100 for ahead in horizons), horizons
 
 
 @pytest.mark.parametrize("macro", ("0", "1"))
