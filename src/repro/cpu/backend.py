@@ -66,18 +66,26 @@ _COMMIT_CLASS = {
 }
 
 
-def _classify_op(op: Op) -> str:
+# Functional-unit classes (``UOp.fu_class``): the issue stage counts each
+# class's slots per cycle in a list indexed by these.
+U_INT, U_MUL, U_FP, U_MEM, U_BRANCH, U_OTHER = range(6)
+NUM_UNITS = 6
+#: Unit-class names, indexed by class (for reports and tests).
+UNIT_NAMES = ("int", "mul", "fp", "mem", "branch", "other")
+
+
+def _classify_op(op: Op) -> int:
     if op in INT_ALU_OPS:
-        return "int"
+        return U_INT
     if op in MUL_OPS or op in DIV_OPS:
-        return "mul"
+        return U_MUL
     if op in FP_OPS:
-        return "fp"
+        return U_FP
     if op in (Op.LOAD, Op.STORE):
-        return "mem"
+        return U_MEM
     if op in _BRANCH_OPS:
-        return "branch"
-    return "other"
+        return U_BRANCH
+    return U_OTHER
 
 
 #: Per-op decode metadata, read only when a template is decoded:
@@ -230,15 +238,16 @@ class FunctionalUnits:
 
     def __init__(self, params: CoreParams) -> None:
         self.params = params
-        #: Issue slots per unit class per cycle (the issue stage counts them).
-        self.limits = {
-            "int": params.int_alu_units,
-            "mul": params.mul_units,
-            "fp": params.fp_units,
-            "mem": 3,  # 2 load + 1 store ports, pooled
-            "branch": 2,
-            "other": params.issue_width,
-        }
+        #: Issue slots per cycle, indexed by unit class (``U_INT`` ...);
+        #: the issue stage counts them.
+        self.limits = (
+            params.int_alu_units,
+            params.mul_units,
+            params.fp_units,
+            3,  # mem: 2 load + 1 store ports, pooled
+            2,  # branch
+            params.issue_width,  # other
+        )
 
     def latency(self, op: Op) -> int:
         """The unit latency of ``op`` (read when a template is decoded)."""

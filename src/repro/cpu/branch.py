@@ -31,9 +31,6 @@ class GsharePredictor:
         self._history_mask = (1 << history_bits) - 1
         self._index_mask = (1 << table_bits) - 1
 
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) & self._index_mask
-
     def predict(self, pc: int) -> bool:
         return self._table[(pc ^ self._history) & self._index_mask] >= 2
 
@@ -52,10 +49,7 @@ class GsharePredictor:
 
     def update(self, pc: int, history_at_predict: int, taken: bool) -> None:
         """Train the counter indexed with the history in effect at prediction."""
-        saved = self._history
-        self._history = history_at_predict
-        index = self._index(pc)
-        self._history = saved
+        index = (pc ^ history_at_predict) & self._index_mask
         counter = self._table[index]
         if taken and counter < 3:
             self._table[index] = counter + 1
@@ -129,30 +123,40 @@ class BranchPredictor:
         self.mispredictions = 0
 
     def predict(self, pc: int, instruction: Instruction) -> Tuple[bool, Optional[int], int]:
+        # One call per prediction: the gshare and BTB tables are read here
+        # directly (``GsharePredictor.predict``/``record_speculative`` and
+        # ``BranchTargetBuffer.lookup``, inlined).
         self.predictions += 1
+        gshare = self.gshare
+        history = gshare._history
         op = instruction.op
         if op is _JMP or op is _CALL:
             # Direct unconditional: target known at decode.
             target = instruction.target if isinstance(instruction.target, int) else None
             if op is _CALL:
                 self.ras.push(pc + 1)
-            history = self.gshare.record_speculative(True)
+            gshare._history = ((history << 1) | 1) & gshare._history_mask
             return True, target, history
         if op is _RET:
             target = self.ras.pop()
-            history = self.gshare.record_speculative(True)
+            gshare._history = ((history << 1) | 1) & gshare._history_mask
             return True, target, history
         # Conditional branch.
-        taken = self.gshare.predict(pc)
+        taken = gshare._table[(pc ^ history) & gshare._index_mask] >= 2
         target: Optional[int] = None
         if taken:
-            target = self.btb.lookup(pc)
-            if target is None and isinstance(instruction.target, int):
+            btb = self.btb
+            index = pc % btb._entries
+            if btb._tags[index] == pc:
+                target = btb._targets[index]
+            elif isinstance(instruction.target, int):
                 # Direct conditional branches carry their target in the
                 # encoding; the BTB only matters for the first-sight case,
                 # which we approximate as available at decode.
                 target = instruction.target
-        history = self.gshare.record_speculative(taken)
+            gshare._history = ((history << 1) | 1) & gshare._history_mask
+        else:
+            gshare._history = (history << 1) & gshare._history_mask
         return taken, target, history
 
     def resolve(
@@ -167,17 +171,29 @@ class BranchPredictor:
     ) -> bool:
         """Train on the outcome of the branch at ``pc`` (``conditional``: a
         conditional branch, which trains the direction table); return True
-        if this was a misprediction."""
+        if this was a misprediction.  Trains the tables directly
+        (``GsharePredictor.update``, ``BranchTargetBuffer.update``)."""
         if conditional:
-            self.gshare.update(pc, history_token, actual_taken)
+            gshare = self.gshare
+            table = gshare._table
+            index = (pc ^ history_token) & gshare._index_mask
+            counter = table[index]
+            if actual_taken:
+                if counter < 3:
+                    table[index] = counter + 1
+            elif counter > 0:
+                table[index] = counter - 1
         if actual_taken:
-            self.btb.update(pc, actual_target)
-        mispredicted = actual_taken != predicted_taken or (
-            actual_taken and predicted_target != actual_target
-        )
-        if mispredicted:
-            self.mispredictions += 1
-        return mispredicted
+            btb = self.btb
+            index = pc % btb._entries
+            btb._tags[index] = pc
+            btb._targets[index] = actual_target
+            if predicted_taken and predicted_target == actual_target:
+                return False
+        elif not predicted_taken:
+            return False
+        self.mispredictions += 1
+        return True
 
     @property
     def misprediction_rate(self) -> float:

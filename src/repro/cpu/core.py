@@ -48,6 +48,7 @@ from repro.cpu.backend import (
     X_TESTUI,
     X_UIRET,
     X_XOR,
+    NUM_UNITS,
     FunctionalUnits,
     LoadStoreQueues,
     UOp,
@@ -110,6 +111,9 @@ _IMM_AT = STATIC_FIELDS.index("imm")
 # as a dict lookup).
 _JMP, _STORE, _CALL = Op.JMP, Op.STORE, Op.CALL
 _CLUI, _STUI, _SETTIMER, _CLRTIMER, _UIRET = Op.CLUI, Op.STUI, Op.SETTIMER, Op.CLRTIMER, Op.UIRET
+#: The base class's no-op commit hook: ``_commit_stage`` skips strategies
+#: that keep it.
+_BASE_ON_COMMIT = DeliveryStrategy.on_commit
 
 
 @dataclass
@@ -336,11 +340,17 @@ class Core:
             return
         self.cycle = cycle
         self.stats.cycles += 1
-        # Timer checks fire only when a timer is armed, and strategies that
+        # Timer checks run only when an armed timer's deadline has come
+        # (``KBTimerState.check_fire``'s own test), and strategies that
         # declare ``always_poll = False`` are polled only while an interrupt
         # is pending — both are pure no-ops otherwise.
-        if self.uintr.kb_timer.armed or self.apic_timer.armed:
+        timer = self.uintr.kb_timer
+        if timer.armed and cycle >= timer.deadline:
             self._check_kb_timer()
+        else:
+            timer = self.apic_timer
+            if timer.armed and cycle >= timer.deadline:
+                self._check_kb_timer()
         strategy = self.strategy
         if strategy.always_poll or self.apic._pending:
             strategy.on_cycle()
@@ -481,28 +491,41 @@ class Core:
                 or self.macro_pos < len(self.macro_queue)
                 or 0 <= self.fetch_pc < self._prog_len
             )
-            and self._backend_has_room()
         ):
-            t = self.fetch_stall_until
+            # Back-end room: the fetch stage's own test.
+            params = self.params
+            lsq = self.lsq
+            if (
+                len(rob) < params.rob_size
+                and self.iq_count < params.iq_size
+                and len(lsq.loads) < params.lq_size
+                and len(lsq.stores) < params.sq_size
+            ):
+                t = self.fetch_stall_until
+                if t <= horizon:
+                    return horizon
+                if t < nxt:
+                    nxt = t
+        # Armed timers: the first integer cycle at or past the deadline
+        # (``KBTimerState.next_fire_cycle``, inlined).
+        uintr = self.uintr
+        timer = uintr.kb_timer
+        if timer.armed and timer.enabled:
+            t = timer.deadline
             if t <= horizon:
                 return horizon
             if t < nxt:
-                nxt = t
-        t = self.uintr.kb_timer.next_fire_cycle()
-        if t is not None:
+                nxt = -int(-t // 1)
+        timer = self.apic_timer
+        if timer.armed and timer.enabled:
+            t = timer.deadline
             if t <= horizon:
                 return horizon
             if t < nxt:
-                nxt = t
-        t = self.apic_timer.next_fire_cycle()
-        if t is not None:
-            if t <= horizon:
-                return horizon
-            if t < nxt:
-                nxt = t
+                nxt = -int(-t // 1)
         # Interrupt delivery can act on any cycle while something is pending
         # and deliverable; be conservative and step through those windows.
-        if self.apic.has_pending() and self.uintr.uif and self.delivery_state is None:
+        if self.apic._pending and uintr.uif and self.delivery_state is None:
             return horizon
         t = self.strategy.next_activity_cycle()
         if t is not None and t < nxt:
@@ -550,7 +573,11 @@ class Core:
         arch_regs = self.arch_regs
         reg_producer = self.reg_producer
         mac = self._macro
-        on_commit = self.strategy.on_commit
+        # Strategies that keep the base class's no-op hook are not called.
+        strategy = self.strategy
+        on_commit = (
+            None if type(strategy).on_commit is _BASE_ON_COMMIT else strategy.on_commit
+        )
         stats = self.stats
         retired = 0
         while budget > 0 and rob:
@@ -596,7 +623,8 @@ class Core:
                     and uop.target < uop.pc
                 ):
                     mac.note_backedge(uop.pc, len(rob) + retired)
-            on_commit(uop)
+            if on_commit is not None:
+                on_commit(uop)
             # A retired uop never reads an operand or wakes a dependent
             # again.  Dropping its links breaks the producer/dependent
             # reference cycles, so retired uops are freed by refcount rather
@@ -718,6 +746,7 @@ class Core:
         cycle = self.cycle
         heappop = heapq.heappop
         heappush = heapq.heappush
+        resolve = self.predictor.resolve
         while exec_heap and exec_heap[0][0] <= cycle:
             uop = heappop(exec_heap)[2]
             if uop.squashed:
@@ -735,26 +764,30 @@ class Core:
                     ready = dependent.frontend_ready
                     heappush(ready_heap, (ready if ready > cycle else cycle, dependent.seq, dependent))
             if uop.is_branch:
-                self._resolve_branch(uop)
+                # One predictor call per resolution; a mispredict recovers.
+                target = uop.actual_target
+                if target is None:
+                    target = uop.pc + 1
+                if resolve(
+                    uop.pc,
+                    uop.is_cond_branch,
+                    uop.history_token,
+                    uop.actual_taken,
+                    target,
+                    uop.pred_taken,
+                    uop.pred_target,
+                ):
+                    self._recover_branch(uop, target)
             elif uop.exec_class == X_UIRET:
                 self._uiret_redirect(uop)
 
     # -- branch resolution ----------------------------------------------
 
-    def _resolve_branch(self, uop: UOp) -> None:
+    def _recover_branch(self, uop: UOp, actual_target: int) -> None:
+        """Recover from the mispredicted branch ``uop`` (already trained by
+        ``BranchPredictor.resolve``): restore the predictor's history and
+        return stack, and squash the wrong path."""
         actual_taken = uop.actual_taken
-        actual_target = uop.actual_target if uop.actual_target is not None else uop.pc + 1
-        mispredicted = self.predictor.resolve(
-            uop.pc,
-            uop.is_cond_branch,
-            uop.history_token,
-            actual_taken,
-            actual_target,
-            uop.pred_taken,
-            uop.pred_target,
-        )
-        if not mispredicted:
-            return
         self.stats.branch_squashes += 1
         # Recover predictor history to the state at this branch, then shift
         # the actual outcome in.
@@ -892,7 +925,7 @@ class Core:
         conservative = self._conservative_loads
         # Functional-unit bandwidth is per cycle, and this stage runs once a
         # cycle: the slots taken are counted here.
-        used: Dict[str, int] = {}
+        used = [0] * NUM_UNITS
         limits = self.fus.limits
         while budget > 0 and ready_heap and ready_heap[0][0] <= cycle:
             _, seq, uop = heappop(ready_heap)
@@ -913,7 +946,7 @@ class Core:
                 deferred.append((cycle + 1, seq, uop))
                 continue
             unit = uop.fu_class
-            busy = used.get(unit, 0)
+            busy = used[unit]
             if busy >= limits[unit]:
                 deferred.append((cycle + 1, seq, uop))
                 continue
@@ -996,7 +1029,7 @@ class Core:
                     uop.actual_target = uop.target
             if uop.semantic == "senduipi_entry":
                 self.trace.record(cycle, "senduipi_start", core=self.core_id)
-            heappush(exec_heap, (cycle + latency if latency > 1 else cycle + 1, uop.seq, uop))
+            heappush(exec_heap, (cycle + latency if latency > 1 else cycle + 1, seq, uop))
             budget -= 1
             if uop.is_serializing:
                 self._serialize_until = cycle + latency
@@ -1216,7 +1249,7 @@ class Core:
                 break
             predictor = self.predictor
             if fetch_class == F_CALLRET:
-                uop.ras_snapshot = predictor.ras.snapshot()
+                uop.ras_snapshot = predictor.ras._stack[:]
             taken, target, history = predictor.predict(pc, uop.instr)
             uop.pred_taken = taken
             uop.pred_target = target
@@ -1234,16 +1267,6 @@ class Core:
                 self.fetch_stall_until = cycle + params.frontend_depth
             break  # taken branches end the fetch group
         self.stats.fetched_uops += fetched
-
-    def _backend_has_room(self) -> bool:
-        lsq = self.lsq
-        params = self.params
-        return (
-            len(self.rob) < params.rob_size
-            and self.iq_count < params.iq_size
-            and len(lsq.loads) < params.lq_size
-            and len(lsq.stores) < params.sq_size
-        )
 
     def _decode(self, pc: int) -> tuple:
         """Decode the instruction at ``pc`` once: its fetch block, what

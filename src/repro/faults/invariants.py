@@ -82,24 +82,23 @@ class InvariantChecker:
             message, plan_dump=dump, engine_flags=active_engine_flags()
         )
 
-    def _check(self, condition: bool, message: str) -> None:
-        self.checks_run += 1
-        if not condition:
-            raise self._violation(message)
-
-    # ------------------------------------------------------------------
+    # Each check below counts itself in ``checks_run`` and tests its
+    # condition inline; its message is formatted only when it raises (a
+    # squash probe runs two checks per ROB entry).
 
     def probe(self, event: str, core: "Core") -> None:
         """The per-core hook (read-only; see class docstring)."""
         self.probes_fired += 1
         cid = core.core_id
+        cycle = core.cycle
         last = self._last_cycle.get(cid)
-        self._check(
-            last is None or core.cycle >= last,
-            f"core {cid} clock moved backwards: {last} -> {core.cycle} at {event!r}",
-        )
-        self._last_cycle[cid] = core.cycle
-        if event in ("squash", "flush"):
+        self.checks_run += 1
+        if last is not None and cycle < last:
+            raise self._violation(
+                f"core {cid} clock moved backwards: {last} -> {cycle} at {event!r}"
+            )
+        self._last_cycle[cid] = cycle
+        if event == "squash" or event == "flush":
             self._check_rob(core, event)
         elif event == "inject":
             self._check_inject(core)
@@ -107,57 +106,68 @@ class InvariantChecker:
             self._check_uiret(core)
 
     def _check_rob(self, core: "Core", event: str) -> None:
-        cid = core.core_id
+        rob = core.rob
         iq = 0
         prev_seq = -1
-        for uop in core.rob:
-            self._check(
-                not uop.squashed,
-                f"core {cid}: squashed µop seq={uop.seq} survived {event}",
-            )
-            self._check(
-                uop.seq > prev_seq,
-                f"core {cid}: ROB sequence not increasing after {event} "
-                f"({prev_seq} then {uop.seq})",
-            )
-            prev_seq = uop.seq
+        for uop in rob:
+            seq = uop.seq
+            if uop.squashed or seq <= prev_seq:
+                self._rob_order_violation(core, event)
+            prev_seq = seq
             if uop.state in (ST_WAITING, ST_READY):
                 iq += 1
-        self._check(
-            core.iq_count == iq,
-            f"core {cid}: issue-queue census {core.iq_count} != ROB "
-            f"waiting/ready population {iq} after {event}",
-        )
-        if event == "flush":
-            self._check(
-                not core.rob,
-                f"core {cid}: ROB not empty after a full flush",
+        self.checks_run += 2 * len(rob) + 1
+        if core.iq_count != iq:
+            raise self._violation(
+                f"core {core.core_id}: issue-queue census {core.iq_count} != ROB "
+                f"waiting/ready population {iq} after {event}"
             )
+        if event == "flush":
+            self.checks_run += 1
+            if rob:
+                raise self._violation(f"core {core.core_id}: ROB not empty after a full flush")
+
+    def _rob_order_violation(self, core: "Core", event: str) -> None:
+        """Raise for the first ROB entry that fails its checks, counting the
+        checks run up to it: two per earlier entry, then its own."""
+        cid = core.core_id
+        prev_seq = -1
+        for at, uop in enumerate(core.rob):
+            if uop.squashed:
+                self.checks_run += 2 * at + 1
+                raise self._violation(f"core {cid}: squashed µop seq={uop.seq} survived {event}")
+            if uop.seq <= prev_seq:
+                self.checks_run += 2 * at + 2
+                raise self._violation(
+                    f"core {cid}: ROB sequence not increasing after {event} "
+                    f"({prev_seq} then {uop.seq})"
+                )
+            prev_seq = uop.seq
 
     def _check_inject(self, core: "Core") -> None:
-        cid = core.core_id
-        self._check(
-            core.delivery_state == "inflight" and core.current_interrupt is not None,
-            f"core {cid}: inject probe without an in-flight delivery",
-        )
+        self.checks_run += 1
+        if core.delivery_state != "inflight" or core.current_interrupt is None:
+            raise self._violation(
+                f"core {core.core_id}: inject probe without an in-flight delivery"
+            )
         if core.uintr.safepoint_mode and core.strategy.name == "tracked":
             pc = core.uintr.ui_return_pc
-            self._check(
-                pc is not None and core.safepoint_at(pc),
-                f"core {cid}: safepoint-mode tracked delivery injected at "
-                f"non-safepoint pc={pc}",
-            )
+            self.checks_run += 1
+            if pc is None or not core.safepoint_at(pc):
+                raise self._violation(
+                    f"core {core.core_id}: safepoint-mode tracked delivery injected at "
+                    f"non-safepoint pc={pc}"
+                )
 
     def _check_uiret(self, core: "Core") -> None:
-        cid = core.core_id
-        self._check(
-            core.delivery_state == "inflight",
-            f"core {cid}: uiret committed with no delivery in flight",
-        )
-        self._check(
-            core.uintr.in_handler,
-            f"core {cid}: uiret committed outside a handler",
-        )
+        self.checks_run += 1
+        if core.delivery_state != "inflight":
+            raise self._violation(
+                f"core {core.core_id}: uiret committed with no delivery in flight"
+            )
+        self.checks_run += 1
+        if not core.uintr.in_handler:
+            raise self._violation(f"core {core.core_id}: uiret committed outside a handler")
 
     # ------------------------------------------------------------------
 
@@ -172,13 +182,14 @@ class InvariantChecker:
             staged += len(core.strategy.pending_inventory())
             if core.delivery_state == "inflight":
                 inflight += 1
-        self._check(
-            queued == delivered + waiting + staged + inflight,
-            "delivery conservation violated: "
-            f"queued={queued} != delivered={delivered} + waiting={waiting} "
-            f"+ staged={staged} + inflight={inflight} "
-            f"(explicitly dropped before queueing: {dropped})",
-        )
+        self.checks_run += 1
+        if queued != delivered + waiting + staged + inflight:
+            raise self._violation(
+                "delivery conservation violated: "
+                f"queued={queued} != delivered={delivered} + waiting={waiting} "
+                f"+ staged={staged} + inflight={inflight} "
+                f"(explicitly dropped before queueing: {dropped})"
+            )
         return {
             "queued": queued,
             "delivered": delivered,

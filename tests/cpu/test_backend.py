@@ -9,6 +9,8 @@ from repro.common.errors import SimulationError
 from repro.cpu.backend import (
     ST_DONE,
     ST_EXECUTING,
+    U_INT,
+    U_MUL,
     FunctionalUnits,
     LoadStoreQueues,
     UOp,
@@ -99,15 +101,15 @@ class TestFunctionalUnits:
         limits = core.fus.limits
         for issued in per_cycle:
             assert all(count <= limits[unit] for unit, count in issued.items())
-        assert max(issued["int"] for issued in per_cycle) == 2
-        assert max(issued["mul"] for issued in per_cycle) == 1
+        assert max(issued[U_INT] for issued in per_cycle) == 2
+        assert max(issued[U_MUL] for issued in per_cycle) == 1
 
     def test_classes_independent(self, monkeypatch):
         """Unit classes draw on separate pools: a full int pool does not
         stop a multiply from issuing in the same cycle."""
         _, per_cycle = run_unit_mix(monkeypatch)
-        assert any(issued["int"] and issued["mul"] for issued in per_cycle)
-        assert any(issued["int"] == 2 and issued["mul"] == 1 for issued in per_cycle)
+        assert any(issued[U_INT] and issued[U_MUL] for issued in per_cycle)
+        assert any(issued[U_INT] == 2 and issued[U_MUL] == 1 for issued in per_cycle)
 
     def test_latency_table(self):
         fus = FunctionalUnits(CoreParams())

@@ -1,5 +1,7 @@
 """Branch prediction: gshare training, BTB, RAS, history recovery."""
 
+import pytest
+
 from repro.cpu import isa
 from repro.cpu.branch import (
     BranchPredictor,
@@ -130,3 +132,105 @@ class TestCombinedPredictor:
     def test_misprediction_rate(self):
         predictor = BranchPredictor()
         assert predictor.misprediction_rate == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the flattened predictor against a call-by-call reference
+# ---------------------------------------------------------------------------
+#
+# ``BranchPredictor.predict``/``resolve`` read and train the gshare and BTB
+# tables directly.  The reference is the sequence of component calls they
+# replace; both predictors see the same seeded branch stream, resolved in
+# order with the core's mispredict recovery, and must agree on every
+# answer, table, history token and counter.
+
+
+def ref_predict(predictor, pc, instruction):
+    predictor.predictions += 1
+    op = instruction.op
+    if op is isa.Op.JMP or op is isa.Op.CALL:
+        target = instruction.target if isinstance(instruction.target, int) else None
+        if op is isa.Op.CALL:
+            predictor.ras.push(pc + 1)
+        return True, target, predictor.gshare.record_speculative(True)
+    if op is isa.Op.RET:
+        target = predictor.ras.pop()
+        return True, target, predictor.gshare.record_speculative(True)
+    taken = predictor.gshare.predict(pc)
+    target = None
+    if taken:
+        target = predictor.btb.lookup(pc)
+        if target is None and isinstance(instruction.target, int):
+            target = instruction.target
+    return taken, target, predictor.gshare.record_speculative(taken)
+
+
+def ref_resolve(predictor, pc, conditional, token, taken, target, pred_taken, pred_target):
+    if conditional:
+        predictor.gshare.update(pc, token, taken)
+    if taken:
+        predictor.btb.update(pc, target)
+    mispredicted = taken != pred_taken or (taken and pred_target != target)
+    if mispredicted:
+        predictor.mispredictions += 1
+    return mispredicted
+
+
+def _predictor_state(predictor):
+    return (
+        bytes(predictor.gshare._table),
+        predictor.gshare._history,
+        list(predictor.btb._tags),
+        list(predictor.btb._targets),
+        list(predictor.ras._stack),
+        predictor.predictions,
+        predictor.mispredictions,
+    )
+
+
+class TestFlattenedPredictor:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stream_matches_reference(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        # Small tables, so PCs alias in both the direction table and the BTB.
+        fast = BranchPredictor(table_bits=5, btb_entries=16)
+        ref = BranchPredictor(table_bits=5, btb_entries=16)
+        pcs = [rng.randrange(200) for _ in range(24)]
+        kinds = [isa.Op.BEQ, isa.Op.BNE, isa.Op.BLT, isa.Op.BGE] * 3 + [
+            isa.Op.JMP, isa.Op.CALL, isa.Op.RET,
+        ]
+        branches = []
+        for pc in pcs:
+            op = rng.choice(kinds)
+            target = rng.choice([rng.randrange(200), "label"])  # resolved or not
+            branches.append((pc, isa.Instruction(op, target=None if op is isa.Op.RET else target)))
+        bias = {pc: rng.random() for pc in pcs}
+        mispredicts = 0
+        for _ in range(400):
+            # Predict a group in flight, then resolve it in order; the first
+            # mispredict recovers history and drops the younger ones.
+            group = [rng.choice(branches) for _ in range(rng.randrange(1, 5))]
+            predicted = []
+            for pc, instr in group:
+                got = fast.predict(pc, instr)
+                assert got == ref_predict(ref, pc, instr)
+                predicted.append((pc, instr, got))
+            for pc, instr, (taken, target, token) in predicted:
+                actual = rng.random() < bias[pc] if instr.is_cond_branch else True
+                actual_target = pc + 1
+                if actual:
+                    actual_target = rng.choice([target if target is not None else pc + 3, pc + 7])
+                args = (pc, instr.is_cond_branch, token, actual, actual_target, taken, target)
+                wrong = fast.resolve(*args)
+                assert wrong == ref_resolve(ref, *args)
+                assert _predictor_state(fast) == _predictor_state(ref)
+                if wrong:
+                    mispredicts += 1
+                    for predictor in (fast, ref):
+                        predictor.gshare.restore_history(token)
+                        predictor.gshare.record_speculative(actual)
+                    break
+        assert mispredicts > 20
+        assert _predictor_state(fast) == _predictor_state(ref)

@@ -155,3 +155,160 @@ class TestInstructionCache:
         icache = InstructionCache(CacheParams(), MemoryParams())
         icache.warm_range(0x400000, 0x400100)
         assert icache.fetch_latency(0x400080) == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the flattened probes against a call-by-call reference
+# ---------------------------------------------------------------------------
+#
+# ``load``, ``store_probe`` and ``fetch_latency`` inline the last-writer and
+# MRU tests.  The reference below is the sequence of ``lookup`` /
+# ``last_writer`` / miss-latency calls they replace; both sides run the same
+# seeded streams on their own caches and memory, and must agree on every
+# latency, value, set, counter and directory entry.
+
+
+def ref_miss_latency(hierarchy, addr):
+    writer = hierarchy.shared.last_writer(addr)
+    if writer is not None and writer != hierarchy.core_id:
+        hierarchy.remote_misses += 1
+        hierarchy.l2cache.lookup(addr)
+        return hierarchy.params.remote_dirty_latency
+    if hierarchy.l2cache.lookup(addr):
+        return hierarchy.params.l2_hit_latency
+    return hierarchy.params.dram_latency
+
+
+def ref_load(hierarchy, addr):
+    if addr < 0:
+        addr = -addr
+    writer = hierarchy.shared.last_writer(addr)
+    remote_dirty = writer is not None and writer != hierarchy.core_id
+    if remote_dirty:
+        hierarchy.dcache.invalidate(addr)
+    hit = hierarchy.dcache.lookup(addr)
+    if hit and not remote_dirty:
+        latency = hierarchy.dcache.params.hit_latency
+    else:
+        latency = hierarchy.dcache.params.hit_latency + ref_miss_latency(hierarchy, addr)
+        if remote_dirty:
+            hierarchy.shared.clear_writer(addr)
+    return latency, hierarchy.shared.read(addr)
+
+
+def ref_store_probe(hierarchy, addr):
+    if addr < 0:
+        addr = -addr
+    writer = hierarchy.shared.last_writer(addr)
+    remote_dirty = writer is not None and writer != hierarchy.core_id
+    if remote_dirty:
+        hierarchy.dcache.invalidate(addr)
+    hit = hierarchy.dcache.lookup(addr)
+    if hit and not remote_dirty:
+        return hierarchy.dcache.params.hit_latency
+    return hierarchy.dcache.params.hit_latency + ref_miss_latency(hierarchy, addr)
+
+
+def ref_fetch_latency(icache, addr):
+    hit = icache.cache.lookup(addr)
+    line = icache.cache.params.line_bytes
+    for ahead in range(1, icache.PREFETCH_DEGREE + 1):
+        icache.cache.lookup(addr + ahead * line)
+    return 0 if hit else icache.params.l2_hit_latency
+
+
+#: Small caches, so the streams hit MRU and non-MRU entries, and evict.
+SMALL_L1 = CacheParams(size_bytes=4 * 64 * 2, associativity=2, line_bytes=64)
+SMALL_L2 = CacheParams(size_bytes=8 * 64 * 4, associativity=4, line_bytes=64, hit_latency=14)
+
+
+def _cache_state(cache):
+    return list(cache._sets), cache.hits, cache.misses
+
+
+def _memory_side():
+    shared = SharedMemory()
+    cores = [MemoryHierarchy(k, SMALL_L1, MemoryParams(), shared, l2=SMALL_L2) for k in range(2)]
+    return shared, cores
+
+
+def _memory_state(shared, cores):
+    return (
+        dict(shared._words),
+        dict(shared._last_writer),
+        [(_cache_state(h.dcache), _cache_state(h.l2cache), h.remote_misses) for h in cores],
+    )
+
+
+class TestFlattenedProbes:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_data_accesses_match_reference(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        fast_shared, fast = _memory_side()
+        ref_shared, ref = _memory_side()
+        lines = [rng.randrange(64) for _ in range(20)]
+        for step in range(3_000):
+            core = rng.randrange(2)
+            addr = 64 * rng.choice(lines) + 8 * rng.randrange(8)
+            if rng.random() < 0.05:
+                addr = -addr  # wrong-path garbage address
+            kind = rng.random()
+            if kind < 0.5:
+                got = fast[core].load(addr)
+                want = ref_load(ref[core], addr)
+            elif kind < 0.8:
+                got = fast[core].store_probe(addr)
+                want = ref_store_probe(ref[core], addr)
+            elif kind < 0.95:
+                # A store commits: the directory now names this core.
+                value = rng.randrange(1 << 20)
+                fast_shared.write(addr, value, core_id=core)
+                ref_shared.write(addr, value, core_id=core)
+                got = want = None
+            else:
+                got = fast[core].store(addr, step)
+                want = ref_store_probe(ref[core], addr)
+                ref_shared.write(-addr if addr < 0 else addr, step, core_id=core)
+            assert got == want, f"step {step}"
+            assert _memory_state(fast_shared, fast) == _memory_state(ref_shared, ref)
+        assert sum(h.remote_misses for h in fast) > 0
+        assert all(h.dcache.hits and h.dcache.misses and h.l2cache.hits for h in fast)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fetch_redirects_match_reference(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        fast = InstructionCache(SMALL_L1, MemoryParams())
+        ref = InstructionCache(SMALL_L1, MemoryParams())
+        fast.warm_range(0x400000, 0x400100)
+        ref.warm_range(0x400000, 0x400100)
+        targets = [0x400000 + 16 * rng.randrange(96) for _ in range(12)]
+        for step in range(2_000):
+            addr = rng.choice(targets)
+            assert fast.fetch_latency(addr) == ref_fetch_latency(ref, addr), f"step {step}"
+            assert _cache_state(fast.cache) == _cache_state(ref.cache)
+        assert fast.cache.hits and fast.cache.misses
+
+
+class TestWriteWords:
+    def test_bulk_write_matches_word_writes(self):
+        words = {0x100: 1, 0x108: 2, 0x2000: 3}
+        bulk, single = SharedMemory(), SharedMemory()
+        bulk.write(0x100, 9, core_id=1)
+        single.write(0x100, 9, core_id=1)
+        bulk.write_words(words)
+        for addr, value in words.items():
+            single.write(addr, value)
+        assert bulk.snapshot_words() == single.snapshot_words()
+        assert bulk._last_writer == single._last_writer
+
+    def test_observers_see_every_word(self):
+        memory = SharedMemory()
+        seen = []
+        memory.add_write_observer(lambda core, addr: seen.append((core, addr)))
+        memory.write_words({0x40: 1, 0x48: 2})
+        assert seen == [(None, 0x40), (None, 0x48)]
+        assert memory.read(0x48) == 2

@@ -135,3 +135,130 @@ class TestSafepointInvariant:
         with pytest.raises(InvariantViolation) as excinfo:
             checker.probe("inject", core)
         assert "safepoint" in str(excinfo.value)
+
+
+def _bare_core():
+    """A fresh count-loop core behind a checker with no fault plan, so each
+    violation's first message line is the check's own message."""
+    from repro.faults.invariants import InvariantChecker
+
+    system, _injector, _checker = build_cell(FaultPlan(seed=0, faults=()), "flush")
+    for core in system.cores:
+        core.invariant_probe = None
+    return system.cores[0], InvariantChecker().install(system), system
+
+
+def _uop(seq, state=None, squashed=False):
+    from repro.cpu.backend import ST_DONE, UOp, template
+    from repro.cpu.isa import Op
+
+    uop = UOp(seq, 0, 0, False, True, True, template(Op.ADD))
+    uop.state = ST_DONE if state is None else state
+    uop.squashed = squashed
+    return uop
+
+
+def _message(excinfo) -> str:
+    return str(excinfo.value).splitlines()[0]
+
+
+class TestCheckMessages:
+    """Each check fires with its exact message, and ``checks_run`` counts
+    every check up to and including the one that raised: messages are
+    formatted only on failure, so these pin both the text and the count."""
+
+    def test_clock_backwards(self):
+        core, checker, _ = _bare_core()
+        core.cycle = 100
+        checker.probe("squash", core)
+        core.cycle = 50
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.probe("squash", core)
+        assert _message(excinfo) == "core 0 clock moved backwards: 100 -> 50 at 'squash'"
+        assert (checker.checks_run, checker.probes_fired) == (3, 2)
+
+    def test_squashed_survivor(self):
+        core, checker, _ = _bare_core()
+        core.rob.extend([_uop(4), _uop(5), _uop(9, squashed=True)])
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.probe("squash", core)
+        assert _message(excinfo) == "core 0: squashed µop seq=9 survived squash"
+        assert checker.checks_run == 1 + 2 * 2 + 1
+
+    def test_rob_sequence_order(self):
+        core, checker, _ = _bare_core()
+        core.rob.extend([_uop(4), _uop(7), _uop(6)])
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.probe("flush", core)
+        assert _message(excinfo) == "core 0: ROB sequence not increasing after flush (7 then 6)"
+        assert checker.checks_run == 1 + 2 * 2 + 2
+
+    def test_repeated_sequence_number(self):
+        core, checker, _ = _bare_core()
+        core.rob.extend([_uop(4), _uop(4)])
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.probe("squash", core)
+        assert _message(excinfo) == "core 0: ROB sequence not increasing after squash (4 then 4)"
+
+    def test_issue_queue_census(self):
+        from repro.cpu.backend import ST_READY, ST_WAITING
+
+        core, checker, _ = _bare_core()
+        core.rob.extend([_uop(1, ST_WAITING), _uop(2, ST_READY), _uop(3)])
+        core.iq_count = 3
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.probe("squash", core)
+        assert _message(excinfo) == (
+            "core 0: issue-queue census 3 != ROB waiting/ready population 2 after squash"
+        )
+        assert checker.checks_run == 1 + 2 * 3 + 1
+
+    def test_rob_not_empty_after_flush(self):
+        core, checker, _ = _bare_core()
+        core.rob.append(_uop(1))
+        core.iq_count = 0
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.probe("flush", core)
+        assert _message(excinfo) == "core 0: ROB not empty after a full flush"
+        assert checker.checks_run == 1 + 2 + 1 + 1
+
+    def test_passing_rob_counts_two_checks_per_entry(self):
+        core, checker, _ = _bare_core()
+        core.rob.extend([_uop(1), _uop(2), _uop(5)])
+        core.iq_count = 0
+        checker.probe("squash", core)
+        assert (checker.checks_run, checker.probes_fired) == (1 + 2 * 3 + 1, 1)
+
+    def test_conservation(self):
+        core, checker, system = _bare_core()
+        core.apic.user_queued += 2
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.finish(system)
+        assert _message(excinfo) == (
+            "delivery conservation violated: queued=2 != delivered=0 + waiting=0 "
+            "+ staged=0 + inflight=0 (explicitly dropped before queueing: 0)"
+        )
+        assert checker.checks_run == 1
+
+
+class TestCheckCounts:
+    """``checks_run`` and ``probes_fired`` of one seeded fuzz scenario
+    (root seed 0, index 0: squashes, flushes, injections and uirets on
+    every leg), pinned to the values the eager-message checker counted."""
+
+    @pytest.mark.parametrize("leg", ["naive", "fast", "fast+macro"])
+    def test_seeded_scenario_counts(self, leg):
+        from repro.faults import FaultInjector
+        from repro.faults.invariants import InvariantChecker
+        from repro.scenario.compile import build_system
+        from repro.scenario.fuzz import _engine_env
+        from repro.scenario.generate import ScenarioGenerator
+
+        scenario = ScenarioGenerator(0).generate(0)
+        built = build_system(scenario)
+        checker = InvariantChecker(built.plan).install(built.system)
+        FaultInjector(built.plan).install(built.system)
+        with _engine_env(leg):
+            built.system.run(scenario.max_cycles, until_halted=list(built.watch_cores))
+            accounting = checker.finish(built.system)
+        assert (accounting["checks_run"], accounting["probes_fired"]) == (28_437, 341)
