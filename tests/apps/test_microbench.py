@@ -209,3 +209,23 @@ class TestInstrumentedVariants:
         workload = mb.make_fib(n=8, instrument=PollingInstrumenter())
         system = run_workload(workload)
         assert system.cores[0].arch_regs[2] == 21
+
+
+class TestMemoryImages:
+    def test_image_built_once_and_shared(self):
+        """Workloads built with the same image arguments share one built
+        image, and every install writes the same words as the first."""
+        from repro.cpu.cache import SharedMemory
+
+        a = mb.make_pointer_chase(64, stride=64, iterations=5)
+        b = mb.make_pointer_chase(64, stride=64, iterations=9)
+        other = mb.make_pointer_chase(32, stride=64, iterations=5)
+        memories = [SharedMemory() for _ in range(4)]
+        for workload, memory in zip((a, a, b, other), memories):
+            workload.install(memory)
+        assert a.init_memory._words is b.init_memory._words
+        assert other.init_memory._words is not a.init_memory._words
+        assert memories[0].snapshot_words() == memories[1].snapshot_words()
+        assert memories[0].snapshot_words() == memories[2].snapshot_words()
+        assert len(memories[3].snapshot_words()) == 32
+        assert memories[0].read(mb.CHASE_BASE + 63 * 64) == mb.CHASE_BASE
